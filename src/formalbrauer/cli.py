@@ -29,12 +29,7 @@ from . import __version__
 from .acceptance import CHECKS, run_checks
 from .coefficients import QQ, Prime, is_prime
 from .errors import CapTooSmall, CertificationRefused, NonIntegral
-from .k3brauer import (
-    QuarticForm,
-    beta_coefficient,
-    brauer_height,
-    named_quartic,
-)
+from .k3brauer import QuarticForm, brauer_height, named_quartic
 from .landweber import (
     SCENARIOS,
     builtin_scenario,
@@ -188,8 +183,9 @@ def _height_cell(args):
     """One (quartic, prime) grid cell; top level so worker pools can run it."""
     f, p, h_max, cap = args
     start = perf_counter()
-    result = brauer_height(f, p, h_max, cap=cap)
-    beta_p = beta_coefficient(f, p) % p
+    # the log's cap is at least p^h_max >= p, so it already holds beta_p
+    result, blog = brauer_height(f, p, h_max, cap=cap, with_log=True)
+    beta_p = blog.beta(p) % p
     wall_ms = int((perf_counter() - start) * 1000)
     return {
         "quartic": f.name,

@@ -285,19 +285,20 @@ class PSeries:
 
 
 def p_series(source, p: Prime, cap: int) -> PSeries:
-    """[p](T), by the logarithm route l^{-1}(p l(T)) when given a Logarithm,
-    or by the p-fold iterate F(... F(F(T,T),T) ..., T) when given a law.
+    """[p](T), by the logarithm route when given a Logarithm, or by the
+    p-fold iterate F(... F(F(T,T),T) ..., T) when given a law.
 
-    The logarithm route only does univariate work and is the default for
-    heights; the iterate is the independent cross-check at small caps.
+    The logarithm route solves l([p](T)) = p l(T) for [p] by one Newton
+    iteration (Series.solve, starting from pT); it only does univariate work
+    and is the default for heights. The iterate is the independent
+    cross-check at small caps.
     """
     p = p if isinstance(p, Prime) else Prime(int(p))
     if isinstance(source, Logarithm):
         if source.cap < cap:
             raise CapTooSmall(f"logarithm cap {source.cap} < requested {cap}")
         l = source.series.truncate(cap)
-        pl = l.scalar_mul(l.ring.from_int(p.p))
-        return PSeries(p, l.reversion().compose(pl))
+        return PSeries(p, l.solve(l.scalar_mul(l.ring.from_int(p.p))))
     if isinstance(source, FormalGroupLaw):
         if source.cap < cap:
             raise CapTooSmall(f"law cap {source.cap} < requested {cap}")
@@ -363,6 +364,31 @@ def height(ps: PSeries, h_max: int) -> HeightResult:
                 f"not a power of {p}")
         return HeightResult("finite", h, first_nonzero_degree=d)
     return HeightResult("at_least", h_max)
+
+
+def escalating_height(source, p: Prime, h_max: int, cap: int):
+    """(p-series, height) read off the smallest window that decides.
+
+    Builds [p] from a Logarithm or law at the windows p^1 + 1, p^2 + 1, ...
+    below cap, then at cap, and stops at the first window whose reduction
+    mod p has a nonzero coefficient; only an all-zero series goes on to the
+    full cap, where the scan certifies AtLeast(h_max). A series at cap N is
+    exact through degree N, so the verdict is the one the full-cap window
+    gives. Integrality is checked through the window the verdict was read
+    from: a p-denominator above the witnessing degree is no longer looked
+    for here.
+    """
+    p = p if isinstance(p, Prime) else Prime(int(p))
+    k = 1
+    while True:
+        window = min(p.p ** k + 1, cap)
+        ps = p_series(source, p, window)
+        red = ps.reduce()
+        if window == cap:
+            return ps, height(red, h_max)
+        if not red.series.is_zero():
+            return ps, height(red, k)
+        k += 1
 
 
 @dataclass

@@ -40,12 +40,11 @@ from .errors import (
 from .fgl import (
     FormalGroupLaw,
     Logarithm,
+    escalating_height,
     fgl_from_log,
     hazewinkel_log,
-    height,
     ideal_contains,
     landweber_chain,
-    p_series,
     standard_law,
 )
 from .k3brauer import QuarticForm, smooth_check_fp, stienstra_log
@@ -338,12 +337,18 @@ def landweber_check(R: RingPresentation, source, h_max: int,
                     cap: int | None = None) -> LandweberReport:
     """Exactness verdict for a law or logarithm over the presentation R.
 
-    Computes the p-series, reduces it at the closed point (parameters to 0,
-    then mod p) to find the height h of the closed fibre, and classifies
-    (p, v_1, ..., v_h): Exact requires Regular all the way up with v_h a
-    Unit. A window that never shows a unit yields Inconclusive, because a
-    larger cap could still reveal one; torsion yields NotExact with its
-    witness on display."""
+    Computes the p-series on escalating windows p^1 + 1, ..., cap
+    (fgl.escalating_height), reducing each at the closed point (parameters
+    to 0, then mod p), and stops at the first window that shows the height
+    h of the closed fibre; the v_n are read from that window, which reaches
+    degree p^h. It then classifies (p, v_1, ..., v_h): Exact requires
+    Regular all the way up with v_h a Unit. A window that never shows a
+    unit yields Inconclusive, because a larger cap could still reveal one;
+    torsion yields NotExact with its witness on display.
+
+    Integrality is checked through the window the verdict was read from: a
+    p-denominator above the witnessing degree is no longer looked for here.
+    """
     p = R.prime
     if h_max < 1:
         raise ValueError("h_max must be >= 1")
@@ -363,9 +368,8 @@ def landweber_check(R: RingPresentation, source, h_max: int,
     elif ring != QQ:
         raise RingMismatch(
             "parameter-free presentations expect rational coefficients")
-    ps = p_series(source, p, cap)
-    red = ps.reduce()  # integrality enforced degree by degree
-    h = height(red, h_max)
+    # integrality enforced degree by degree through the deciding window
+    ps, h = escalating_height(source, p, h_max, cap)
 
     report = LandweberReport(p=p, ring=R, closed_fibre_height=h)
     if not h.is_finite:
@@ -488,9 +492,10 @@ def certify_k3_spectrum(R: RingPresentation, f: QuarticForm, h_max: int,
     """Certificate for the formal Brauer group of f over the p-local
     presentation R, refusing unless the exactness report comes back Exact.
 
-    The embedded law is rebuilt at a small bivariate cap with p-integrality
+    The embedded law is rebuilt at min(law_cap, cap) with p-integrality
     enforced and the full axiom suite run, so a certificate never carries an
-    unchecked law."""
+    unchecked law. The report comes from landweber_check, so its p-series
+    is built on the same escalating windows."""
     p = R.prime
     if R.parameters:
         raise RingMismatch(

@@ -366,34 +366,49 @@ class Series:
         return Series(rng, self.vars, self.cap,
                       {(d,): c for d, c in out.items() if not rng.is_zero(c)})
 
-    def reversion(self):
-        """Compositional inverse of T*(unit + ...), by Newton iteration.
+    def solve(self, rhs):
+        """The series g with self(g) = rhs and g(0) = 0, through degree cap.
 
-        Works over any coefficient ring in which the linear coefficient is a
-        unit (no division by integers occurs, so residue rings are fine).
-        Each step doubles the number of correct coefficients: if a(b) = T
-        mod T^(m+1) then the corrected b matches mod T^(2m+2).
+        self is univariate with zero constant term and a unit linear
+        coefficient a_1; rhs has the same ring, variable and cap, and zero
+        constant term. Newton iteration in the manner of Brent and Kung (J.
+        ACM 25, 1978): from g exact through degree m, the error
+        self(g) - rhs has valuation m + 1, so the slope self'(g) is needed
+        only through degree m2 - m - 1 for the corrected g to be exact
+        through m2 = 2m + 1. No division by integers occurs, so residue
+        rings are fine.
         """
         self._need_univariate()
+        self._match(rhs)
         rng = self.ring
-        if not rng.is_zero(self.constant_coeff()):
-            raise ValueError("reversion needs zero constant term")
+        if not (rng.is_zero(self.constant_coeff())
+                and rng.is_zero(rhs.constant_coeff())):
+            raise ValueError("solve needs zero constant terms")
         a1 = self.coeff(1)
         if not rng.is_unit(a1):
             raise NotAUnit("linear coefficient is not a unit")
         N = self.cap
-        b = Series(rng, self.vars, 1, {(1,): rng.invert(a1)})
         m = 1
+        g = Series(rng, self.vars, m, {(1,): rhs.coeff(1) * rng.invert(a1)})
+        deriv = self.derivative()
         while m < N:
             m2 = min(2 * m + 1, N)
-            a = self.truncate(m2)
-            bc = b.with_cap(m2)
-            err = a.compose(bc).sub(Series.variable(rng, m2, self.vars[0]))
-            if err.is_zero():
-                b = bc
-                m = m2
-                continue
-            slope = a.derivative().compose(bc)
-            b = bc.sub(err.mul(slope.invert_unit()))
+            g = g.with_cap(m2)
+            err = self.truncate(m2).compose(g).sub(rhs.truncate(m2))
+            if not err.is_zero():
+                # err = T^(m+1) e, so the step err / self'(g) through
+                # degree m2 needs e and the slope only through degree h
+                h = m2 - m - 1
+                slope = deriv.truncate(h).compose(g)
+                e = err.shift_down(m + 1).truncate(h)
+                step = e.mul(slope.invert_unit()).with_cap(m2).shift_up(m + 1)
+                g = g.sub(step)
             m = m2
-        return b
+        return g
+
+    def reversion(self):
+        """Compositional inverse of T*(unit + ...): the solution g of
+        self(g) = T, by solve. Works over any coefficient ring in which the
+        linear coefficient is a unit."""
+        self._need_univariate()
+        return self.solve(Series.variable(self.ring, self.cap, self.vars[0]))

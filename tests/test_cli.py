@@ -9,6 +9,7 @@ import pytest
 
 from formalbrauer import cli
 from formalbrauer.errors import NonIntegral
+from formalbrauer.k3brauer import beta_coefficient, named_quartic
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "rational_fermat.json"
 
@@ -88,6 +89,21 @@ def test_height_cap_autoraise_notice(capsys):
     err = capsys.readouterr().err
     assert code == 0
     assert "raising to 25" in err
+
+
+def test_height_fermat_cross_beta_p_rows(capsys):
+    # beta_p comes from the log the height was computed from; it must match
+    # the direct extraction, including at the low auto-raised cap p^hmax
+    code = run(["height", "--quartic", "fermat-cross", "--primes",
+                "3,5,7,11,13", "--hmax", "1", "--cap", "2", "--format",
+                "json", "--no-timestamp"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    got = [(r["prime"], r["beta_p_mod_p"], r["ordinary"]) for r in rows]
+    assert got == [(3, 0, False), (5, 4, True), (7, 0, False),
+                   (11, 0, False), (13, 11, True)]
+    cross = named_quartic("fermat-cross")
+    assert all(b == beta_coefficient(cross, p) % p for p, b, _ in got)
 
 
 def test_height_reads_quartic_file(tmp_path, capsys):
