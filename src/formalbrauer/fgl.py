@@ -424,74 +424,102 @@ def landweber_chain(ps: PSeries, n_max: int) -> LandweberIdealChain:
 # ---------------------------------------------------------------------------
 
 
-def _p_integral_solvable(cols, target, p: int, monomials) -> bool:
+def _p_integral_solvable(cols, target, p: int) -> bool:
     """Does target = sum_j y_j * cols[j] admit p-integral rational y?
 
-    Columns and target are dicts monomial -> rational. Elimination over the
-    valuation ring: always pivot on an entry of minimal p-adic valuation, so
-    every multiplier stays p-integral; afterwards solvability reads off as
-    val(b_k) >= val(pivot_k) on pivot rows and b = 0 on empty rows.
-    """
-    rows = list(monomials)
-    ridx = {m: i for i, m in enumerate(rows)}
-    A = [[rat(0)] * len(cols) for _ in rows]
-    for j, col in enumerate(cols):
-        for m, c in col.items():
-            A[ridx[m]][j] = c
-    b = [rat(0)] * len(rows)
-    for m, c in target.items():
-        b[ridx[m]] = c
+    Columns and target are sparse dicts row key -> rational. Sparse Gaussian
+    elimination over the valuation ring Z_(p): each row is a dict of its
+    nonzero entries with their p-adic valuations cached, and a column -> rows
+    index says which rows a pivot touches.
 
-    nrows, ncols = len(rows), len(cols)
-    pivots = []
-    used_rows: set = set()
-    used_cols: set = set()
-    while True:
+    Invariant: every pivot is an entry of globally minimal valuation among
+    the active rows. Subtracting f * (pivot row) with val(f) >= 0 leaves
+    every entry at valuation >= the pivot's, so the minimal valuation never
+    decreases, every multiplier is p-integral, and the search for the next
+    pivot may stop at the first entry that attains the previous minimum.
+    The pivot is in particular minimal in its own row, so once its column is
+    cleared, zeroing the rest of the pivot row is a column operation with
+    p-integral multipliers: a unimodular change of variables that touches
+    neither b nor any other row. Dropping the pivot row from the active set
+    stands for it. The system ends diagonal, so it is solvable iff
+    val(b) >= val(pivot) on each pivot row and b = 0 on every row left
+    without entries; each is checked as soon as that row's b is final.
+    """
+    rows: dict = {}   # row -> {col: entry}
+    vals: dict = {}   # row -> {col: val_p(entry)}
+    col_rows = [set() for _ in cols]
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            if c:
+                rows.setdefault(i, {})[j] = c
+                vals.setdefault(i, {})[j] = val_p(c, p)
+                col_rows[j].add(i)
+    b = {i: c for i, c in target.items() if c}
+    if any(i not in rows for i in b):
+        return False
+
+    def row_min(rv):
+        j = min(rv, key=rv.__getitem__)
+        return rv[j], j
+
+    rowmin = {i: row_min(rv) for i, rv in vals.items()}
+    floor = None
+    while rowmin:
         best = None
-        for i in range(nrows):
-            if i in used_rows:
-                continue
-            for j in range(ncols):
-                if j in used_cols:
-                    continue
-                a = A[i][j]
-                if not a:
-                    continue
-                v = val_p(a, p)
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        piv = A[pi][pj]
-        # row elimination: multipliers are p-integral because the pivot has
-        # minimal valuation in the remaining submatrix
-        for i in range(nrows):
-            if i == pi or not A[i][pj]:
-                continue
-            f = A[i][pj] / piv
-            for j in range(ncols):
-                if j not in used_cols and A[pi][j]:
-                    A[i][j] = A[i][j] - f * A[pi][j]
-            b[i] = b[i] - f * b[pi]
-        # column elimination: zero the rest of the pivot row. The column is
-        # already zero off the pivot, so each column op touches only this row;
-        # the change of variables is p-integrally unimodular (same min-val
-        # argument) and never touches b.
-        for j in range(ncols):
-            if j != pj:
-                A[pi][j] = rat(0)
-        used_rows.add(pi)
-        used_cols.add(pj)
-        pivots.append((pi, pj))
-    # now the system is diagonal on the pivots with free variables set to 0
-    for i in range(nrows):
-        if i not in used_rows and b[i]:
+        for i, (v, j) in rowmin.items():
+            if best is None or v < best[0]:
+                best = (v, i, j)
+                if v == floor:
+                    break
+        floor, pi, pj = best
+        del rowmin[pi]
+        prow = rows.pop(pi)
+        del vals[pi]
+        for j in prow:
+            col_rows[j].discard(pi)
+        piv = prow[pj]
+        bp = b.get(pi)
+        if bp and val_p(bp, p) < floor:
             return False
-    for pi, pj in pivots:
-        if b[pi] and val_p(b[pi], p) < val_p(A[pi][pj], p):
-            return False
+        for i in list(col_rows[pj]):
+            row, rv = rows[i], vals[i]
+            f = row[pj] / piv
+            for j, a in prow.items():
+                new = row.get(j, 0) - f * a
+                if new:
+                    row[j], rv[j] = new, val_p(new, p)
+                    col_rows[j].add(i)
+                else:
+                    del row[j], rv[j]
+                    col_rows[j].discard(i)
+            if bp:
+                nb = b.get(i, 0) - f * bp
+                if nb:
+                    b[i] = nb
+                else:
+                    b.pop(i, None)
+            if row:
+                rowmin[i] = row_min(rv)
+            else:
+                del rows[i], vals[i], rowmin[i]
+                if i in b:
+                    return False
     return True
+
+
+def _monomial_multiples(terms, monomials, cap):
+    """The nonzero products m * g for m in monomials, as term dicts, where g
+    has the given terms: each exponent of g is shifted by m and terms above
+    the degree cap are dropped, as TruncPoly multiplication would."""
+    graded = [(e, sum(e), c) for e, c in terms.items()]
+    gmin = min(d for _, d, _ in graded)
+    out = []
+    for m in monomials:
+        room = cap - sum(m)
+        if room >= gmin:
+            out.append({tuple(a + b for a, b in zip(e, m)): c
+                        for e, d, c in graded if d <= room})
+    return out
 
 
 def ideal_contains(generators, x, p: Prime, ring) -> bool:
@@ -525,18 +553,11 @@ def ideal_contains(generators, x, p: Prime, ring) -> bool:
         cols = []
         for g in generators:
             g = ring.coerce(g)
-            if not g.terms:
-                continue
-            gmin = min(sum(e) for e in g.terms)
-            for m in monomials:
-                if sum(m) + gmin > cap:
-                    continue
-                prod = ring.monomial(m, 1) * g
-                if prod.terms:
-                    cols.append(dict(prod.terms))
+            if g.terms:
+                cols.extend(_monomial_multiples(g.terms, monomials, cap))
         if not cols:
             return False
-        return _p_integral_solvable(cols, dict(x.terms), p.p, monomials)
+        return _p_integral_solvable(cols, x.terms, p.p)
     raise RingMismatch(f"no membership test over {ring}")
 
 

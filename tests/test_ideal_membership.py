@@ -1,0 +1,292 @@
+"""p-local ideal membership: the sparse minimum-valuation elimination in
+fgl._p_integral_solvable against the dense elimination it replaced, kept
+here as the oracle; the monomial-multiple columns of ideal_contains against
+TruncPoly products; and frozen landweber/certify verdicts."""
+
+import itertools
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from formalbrauer import cli, fgl
+from formalbrauer.coefficients import Prime, TruncPolyRing, rat, val_p
+from formalbrauer.fgl import hazewinkel_log, ideal_contains, p_series
+from formalbrauer.landweber import RingPresentation, landweber_check
+
+
+def dense_p_integral_solvable(cols, target, p: int, monomials) -> bool:
+    """The dense oracle: pivot on an entry of minimal p-adic valuation in the
+    whole unused submatrix, eliminate the pivot column by row operations and
+    the pivot row by column operations, then read solvability off the
+    diagonal: val(b_k) >= val(pivot_k) on pivot rows, b = 0 elsewhere."""
+    rows = list(monomials)
+    ridx = {m: i for i, m in enumerate(rows)}
+    A = [[rat(0)] * len(cols) for _ in rows]
+    for j, col in enumerate(cols):
+        for m, c in col.items():
+            A[ridx[m]][j] = c
+    b = [rat(0)] * len(rows)
+    for m, c in target.items():
+        b[ridx[m]] = c
+
+    nrows, ncols = len(rows), len(cols)
+    pivots = []
+    used_rows: set = set()
+    used_cols: set = set()
+    while True:
+        best = None
+        for i in range(nrows):
+            if i in used_rows:
+                continue
+            for j in range(ncols):
+                if j in used_cols:
+                    continue
+                a = A[i][j]
+                if not a:
+                    continue
+                v = val_p(a, p)
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        piv = A[pi][pj]
+        for i in range(nrows):
+            if i == pi or not A[i][pj]:
+                continue
+            f = A[i][pj] / piv
+            for j in range(ncols):
+                if j not in used_cols and A[pi][j]:
+                    A[i][j] = A[i][j] - f * A[pi][j]
+            b[i] = b[i] - f * b[pi]
+        for j in range(ncols):
+            if j != pj:
+                A[pi][j] = rat(0)
+        used_rows.add(pi)
+        used_cols.add(pj)
+        pivots.append((pi, pj))
+    for i in range(nrows):
+        if i not in used_rows and b[i]:
+            return False
+    for pi, pj in pivots:
+        if b[pi] and val_p(b[pi], p) < val_p(A[pi][pj], p):
+            return False
+    return True
+
+
+def _rows_of(cols, target):
+    return sorted(set(target).union(*cols))
+
+
+# ---------------------------------------------------------------------------
+# random systems against the oracle
+# ---------------------------------------------------------------------------
+
+
+def _unit(draw, p, hi):
+    """A nonzero integer prime to p, of either sign."""
+    u = draw(st.integers(1, hi).filter(lambda n: n % p))
+    return u if draw(st.booleans()) else -u
+
+
+@st.composite
+def systems(draw):
+    """(p, cols, target, kind). Entries are u/w * p^k with k in -2..3, so
+    p sits in some denominators; columns may be empty; the target is zero,
+    arbitrary, or a combination of the columns with p-integral or with
+    non-p-integral coefficients."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    nrows = draw(st.integers(1, 7))
+    ncols = draw(st.integers(0, 7))
+
+    def entry():
+        k = draw(st.integers(-2, 3))
+        return rat(_unit(draw, p, 40) * p ** max(k, 0),
+                   _unit(draw, p, 9) * p ** max(-k, 0))
+
+    cols = []
+    for _ in range(ncols):
+        rows = draw(st.sets(st.integers(0, nrows - 1), max_size=nrows))
+        cols.append({i: entry() for i in sorted(rows)})
+    kind = draw(st.sampled_from(("zero", "free", "integral", "nonintegral")))
+    if kind == "zero" or (not cols and kind != "free"):
+        return p, cols, {}, "zero"
+    if kind == "free":
+        rows = draw(st.sets(st.integers(0, nrows - 1), max_size=nrows))
+        return p, cols, {i: entry() for i in sorted(rows)}, kind
+    ys = []
+    for _ in cols:
+        k = draw(st.integers(0, 2) if kind == "integral"
+                 else st.integers(-2, 2))
+        ys.append(rat(_unit(draw, p, 9) * p ** max(k, 0),
+                      _unit(draw, p, 9) * p ** max(-k, 0)))
+    target = {}
+    for y, col in zip(ys, cols):
+        for i, c in col.items():
+            target[i] = target.get(i, 0) + y * c
+    return p, cols, {i: c for i, c in target.items() if c}, kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_sparse_elimination_matches_dense_oracle(system):
+    p, cols, target, kind = system
+    got = fgl._p_integral_solvable(cols, target, p)
+    assert got == dense_p_integral_solvable(cols, target, p,
+                                            _rows_of(cols, target))
+    if kind in ("zero", "integral"):
+        assert got
+
+
+def test_empty_columns_and_zero_target():
+    assert fgl._p_integral_solvable([], {}, 3)
+    assert fgl._p_integral_solvable([{}, {}], {}, 5)
+    assert not fgl._p_integral_solvable([{}, {0: rat(3)}], {1: rat(1)}, 3)
+    assert not fgl._p_integral_solvable([{0: rat(3)}], {0: rat(1)}, 3)
+    assert fgl._p_integral_solvable([{0: rat(1, 3)}], {0: rat(1)}, 3)
+
+
+def test_cancellation_raises_a_cached_valuation():
+    """y0 + y1 = 0, y0 + 4 y1 = b: eliminating y0 leaves 3 y1 = b, whose
+    entry has valuation 1 although both terms it came from have 0."""
+    cols = [{0: rat(1), 1: rat(1)}, {0: rat(1), 1: rat(4)}]
+    assert not fgl._p_integral_solvable(cols, {1: rat(1)}, 3)
+    assert fgl._p_integral_solvable(cols, {1: rat(3)}, 3)
+
+
+def test_pivot_rule_regression_fixture():
+    """A p = 3 system on rows 0..6 whose matrix is invertible and whose
+    unique solution has 3 in several denominators. Pivoting on the first
+    entry found, or on one of maximal valuation, answers True here."""
+    r = rat
+    cols = [
+        {0: r(-54), 2: r(243), 3: r(20), 4: r(1, 3), 5: r(-9)},
+        {1: r(84), 2: r(36), 3: r(-22, 7), 5: r(162), 6: r(60)},
+        {0: r(-36), 1: r(11, 3), 2: r(225), 3: r(-18), 5: r(-18)},
+        {0: r(-33), 2: r(15), 6: r(36)},
+        {1: r(4, 9), 2: r(3), 3: r(26), 4: r(-51), 5: r(12)},
+        {0: r(-29, 3), 3: r(-8, 7), 4: r(153), 6: r(30)},
+        {2: r(-234), 3: r(-144, 7)},
+    ]
+    target = {2: r(-243), 3: r(-7), 4: r(-12)}
+    assert fgl._p_integral_solvable(cols, target, 3) is False
+    assert dense_p_integral_solvable(cols, target, 3, range(7)) is False
+
+
+# ---------------------------------------------------------------------------
+# the systems the Landweber checks pose
+# ---------------------------------------------------------------------------
+
+
+def test_landweber_systems_match_dense_oracle(monkeypatch):
+    """Every system the Hazewinkel regular-sequence check and the ideal
+    chain pose gets the oracle's answer."""
+    calls = []
+    sparse = fgl._p_integral_solvable
+
+    def recording(cols, target, p):
+        got = sparse(cols, target, p)
+        calls.append((cols, target, p, got))
+        return got
+
+    monkeypatch.setattr(fgl, "_p_integral_solvable", recording)
+    three = Prime(3)
+    R = RingPresentation(three, ("t1", "t2"), 6, ())
+    v = [R.base_ring.var("t1"), R.base_ring.var("t2"), R.base_ring.one]
+    report = landweber_check(R, hazewinkel_log(v, three, 28), 3)
+    assert report.verdict == "exact"
+    ring = TruncPolyRing(("t",), 12)
+    ps = p_series(hazewinkel_log([ring.var("t"), ring.one], three, 10),
+                  three, 10)
+    for n in range(3):
+        lhs = [ps.a(i) for i in range(3 ** n)]
+        rhs = [ps.a(i) for i in range(0 if n == 0 else 3 ** (n - 1))]
+        rhs.append(ps.v(n))
+        assert all(ideal_contains(rhs, x, three, ring) for x in lhs)
+        assert all(ideal_contains(lhs, x, three, ring) for x in rhs)
+    assert {got for *_, got in calls} == {True, False}
+    for cols, target, p, got in calls:
+        assert got == dense_p_integral_solvable(cols, target, p,
+                                                _rows_of(cols, target))
+
+
+# ---------------------------------------------------------------------------
+# monomial-multiple columns
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("params,cap", [(("t",), 7), (("t1", "t2"), 5),
+                                       (("t1", "t2", "t3"), 4)])
+def test_shifted_columns_equal_products(params, cap):
+    ring = TruncPolyRing(params, cap)
+    ts = [ring.var(t) for t in params]
+    g = ring.from_int(3) + ts[0] * rat(2, 5)
+    for k, t in enumerate(ts):
+        g = g + t * t * ts[-1] * (k + 1) - t ** 3 * rat(1, 9)
+    monomials = [e for e in itertools.product(range(cap + 1),
+                                              repeat=len(params))
+                 if sum(e) <= cap]
+    products = [(ring.monomial(m, 1) * g).terms for m in monomials]
+    assert fgl._monomial_multiples(g.terms, monomials, cap) == \
+        [t for t in products if t]
+
+
+# ---------------------------------------------------------------------------
+# verdicts frozen before the sparse elimination
+# ---------------------------------------------------------------------------
+
+# (verdict, [(status, witness, reason)], report reason) per scenario, as
+# printed before the sparse elimination; "{p}" stands for the prime.
+SCALAR = "nonzero scalar on a torsion-free base"
+UNIT = (
+    "unit", None,
+    "1 lies in the ideal generated by this element and its predecessors")
+FROZEN_SCENARIOS = {
+    "zp-multiplicative": (
+        "exact", [("regular", None, SCALAR), UNIT],
+        "p regular and v_1 a unit"),
+    "hazewinkel-t1": (
+        "exact",
+        [("regular", None, "nonzero scalar on a free polynomial base"),
+         ("regular", None,
+          "linear part contains fresh parameter t with p-unit coefficient"),
+         UNIT],
+        "(p, v_1) regular and v_2 a unit"),
+    "torsion": (
+        "not_exact",
+        [("zerodivisor", "{p}",
+          "explicit annihilation found within the window"), UNIT],
+        "{p} is a zerodivisor (witness {p}): the sequence is not regular"),
+}
+
+
+def _summary(report):
+    return (report["verdict"],
+            [(v["status"], v["witness"], v["reason"])
+             for v in report["verdicts"]],
+            report["reason"])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("scenario", sorted(FROZEN_SCENARIOS))
+def test_landweber_scenarios_frozen(capsys, scenario, p):
+    code = cli.main(["landweber", "--scenario", scenario, "--p", str(p),
+                     "--format", "json", "--no-timestamp"])
+    report = json.loads(capsys.readouterr().out)
+    verdict, rows, reason = FROZEN_SCENARIOS[scenario]
+
+    def fill(text):
+        return None if text is None else text.replace("{p}", str(p))
+
+    assert code == 0
+    assert _summary(report) == (
+        verdict, [tuple(map(fill, row)) for row in rows], fill(reason))
+
+
+def test_certify_fermat_zp_frozen(capsys):
+    code = cli.main(["certify", "--quartic", "fermat", "--ring", "zp",
+                     "--p", "5", "--no-timestamp"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert _summary(doc["report"]) == FROZEN_SCENARIOS["zp-multiplicative"]
