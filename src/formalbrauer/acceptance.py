@@ -20,6 +20,7 @@ from .fgl import (
     ideal_contains,
     log_from_fgl,
     p_series,
+    reduced_p_series,
     standard_law,
     elliptic_fgl,
     elliptic_ss_oracle,
@@ -152,7 +153,9 @@ def check_fgl_axioms(profile: str):
 
 
 def check_p_series_routes(profile: str):
-    """The logarithm route and the p-fold iterate produce the same p-series."""
+    """The logarithm route and the p-fold iterate produce the same p-series,
+    and for the built-in quartics the residue route mod p^(K+1) gives the
+    logarithm route's p-series reduced mod p, coefficient by coefficient."""
     primes = _caps(profile)["route_primes"]
     rows = []
     ok = True
@@ -167,8 +170,16 @@ def check_p_series_routes(profile: str):
         hz_law = fgl_from_log(hz, cap)
         same_hz = p_series(hz_law, Prime(p), cap).series == \
             p_series(hz, Prime(p), cap).series
-        ok = ok and same_mult and same_hz
-        rows.append(f"p={p}: multiplicative {same_mult}, hazewinkel {same_hz}")
+        window = min(p * p + 1, 50)
+        same_res = True
+        for qname in ("fermat", "diag-1248", "fermat-cross"):
+            blog = stienstra_log(named_quartic(qname), window)
+            same_res = same_res and (
+                reduced_p_series(blog.betas, Prime(p), window).series
+                == p_series(blog.log, Prime(p), window).reduce().series)
+        ok = ok and same_mult and same_hz and same_res
+        rows.append(f"p={p}: multiplicative {same_mult}, hazewinkel {same_hz}"
+                    f", quartic residues through {window} {same_res}")
     return ok, "; ".join(rows)
 
 

@@ -15,7 +15,10 @@ Everything downstream (mod-p heights, the ordinarity test beta_p mod p,
 exactness certificates) consumes the logarithm built here. Heights are read
 from the p-series of the induced group law reduced mod p: first nonzero
 coefficient in degree p^h means height h, and a window that stays zero is
-reported as a lower bound, never as infinity.
+reported as a lower bound, never as infinity. brauer_height gets [p] mod p
+straight from the integer betas (fgl.reduced_p_series), with integers mod
+p^(K+1) and no rationals; the p-series over QQ stays as its test oracle and
+as the route exactness reports take, which need the exact v_n.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from .errors import CapTooSmall, RingMismatch
 from .fgl import (
     HeightResult,
     Logarithm,
-    escalating_height,
     fgl_from_log,
+    reduced_p_series,
+    windowed_height,
 )
 from .series import Series
 
@@ -297,19 +301,23 @@ def brauer_height(f: QuarticForm, p, h_max: int, cap: int | None = None,
                   law_cap: int = 12, with_log: bool = False):
     """Height of the formal Brauer group of f in characteristic p.
 
-    Pipeline: extract the logarithm at the full cap (p^h_max + 1 unless
-    given), rebuild the group law at min(law_cap, cap) with p-integrality
-    enforced coefficientwise, then build the p-series on escalating windows
-    p^1 + 1, p^2 + 1, ..., cap (fgl.escalating_height). Each window goes
-    through the mod-p reduction, which re-checks integrality degree by
-    degree, and the first window with a nonzero coefficient gives the
-    verdict; only an all-zero series is built at the full cap. Returns
-    Finite(h) or AtLeast(h_max); NonIntegral aborts propagate.
+    Pipeline: extract the betas at the first window p + 1 (or at
+    min(law_cap, cap) if that is larger), rebuild the group law at
+    min(law_cap, cap) with p-integrality enforced coefficientwise, then read
+    [p] mod p on the windows p^1 + 1, p^2 + 1, ..., cap (fgl.windowed_height)
+    until one has a nonzero coefficient; only an all-zero series goes on to
+    the full cap (p^h_max + 1 unless given). The betas are extracted again
+    only when a window goes past the ones at hand. Each window's [p] mod p
+    comes from the integer betas by fgl.reduced_p_series, with integers mod
+    p^(K+1) and no rationals; it raises NonIntegral exactly where the
+    reduction of the p-series over QQ would. Returns Finite(h) or
+    AtLeast(h_max); NonIntegral aborts propagate.
 
     Integrality is checked through the window the verdict was read from: a
-    p-denominator above the witnessing degree is no longer looked for here.
-    The law spot-check above and the Stienstra integrality of smooth
-    quartics cover it.
+    p-denominator above the witnessing degree is not looked for here. The
+    law spot-check above and the Stienstra integrality of smooth quartics
+    cover it. With with_log, the BrauerLog of the last window is returned
+    as well; it holds beta_p.
     """
     p = p if isinstance(p, Prime) else Prime(int(p))
     if h_max < 1:
@@ -322,14 +330,21 @@ def brauer_height(f: QuarticForm, p, h_max: int, cap: int | None = None,
     if cap < p.p ** h_max:
         raise CapTooSmall(
             f"cap {cap} < p^h_max = {p.p ** h_max}; the verdict window is empty")
-    blog = stienstra_log(f, cap)
     lc = min(cap, law_cap)
+    blog = stienstra_log(f, max(min(p.p + 1, cap), lc))
     if lc >= 2:
         # the law itself must be p-integral; spot-check the bivariate
         # expansion where it is affordable, the p-series check below covers
         # the univariate window the verdict is read from
         fgl_from_log(blog.log, lc, integral_at=p)
-    _, result = escalating_height(blog.log, p, h_max, cap)
+
+    def reduced_at(window):
+        nonlocal blog
+        if window > blog.cap:
+            blog = stienstra_log(f, window)
+        return blog, reduced_p_series(blog.betas, p, window)
+
+    blog, result = windowed_height(reduced_at, p, h_max, cap)
     return (result, blog) if with_log else result
 
 
