@@ -10,10 +10,15 @@ Everything is exact. Heights and exactness verdicts downstream are detected by
 exact vanishing of coefficients, so no floating point appears anywhere.
 
 A coefficient ring is a plain object with the small method set the series
-layer calls: zero/one/from_int/coerce, is_zero/eq, add/sub/neg/mul, div_int,
-is_unit/invert. Elements themselves carry the arithmetic operators (rationals
-and TruncPoly natively, residues via a thin wrapper), so generic code can mix
-ring-method calls with infix arithmetic.
+layer calls: zero/one/from_int/coerce, is_zero/eq, add/sub/neg/mul, dot,
+div_int, is_unit/invert. Elements themselves carry the arithmetic operators
+(rationals and TruncPoly natively, residues via a thin wrapper), so generic
+code can mix ring-method calls with infix arithmetic.
+
+dot(pairs) is the sum of a*b over an iterable of (a, b) pairs, the inner
+loop of a series product. Each ring sums in its own way: rationals by a
+running sum, residues as plain ints reduced mod p^M once, truncated
+polynomials into one term dict that becomes one TruncPoly at the end.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import DivisionFailure, NonIntegral, NotAUnit, RingMismatch
 
@@ -34,6 +40,9 @@ try:
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     def rat(num=0, den=1):
         return Fraction(num, den)
+
+# the scalar types TruncPoly arithmetic treats as constant polynomials
+_SCALARS = (int, type(rat(0)), Fraction)
 
 
 def is_prime(n: int) -> bool:
@@ -151,6 +160,12 @@ class RationalField:
 
     def mul(self, a, b):
         return a * b
+
+    def dot(self, pairs):
+        s = self.zero
+        for a, b in pairs:
+            s += a * b
+        return s
 
     def div_int(self, a, n: int):
         if n == 0:
@@ -302,6 +317,9 @@ class ResidueRing:
     def mul(self, a, b):
         return a * b
 
+    def dot(self, pairs):
+        return Residue(self, sum(a.v * b.v for a, b in pairs))
+
     def div_int(self, a, n: int):
         try:
             inv = pow(n % self.modulus, -1, self.modulus)
@@ -336,7 +354,10 @@ class TruncPoly:
     """Sparse multivariate polynomial with rational coefficients, truncated at
     a total degree cap. Terms of degree above the cap are discarded on
     multiplication; that is the only lossy step, and `truncated` records
-    whether it ever happened to this value."""
+    whether it ever happened to this value.
+
+    Ints and rationals stand for constant polynomials in arithmetic and in
+    equality, and a constant polynomial hashes like its constant."""
 
     __slots__ = ("vars", "cap", "terms", "truncated")
 
@@ -354,6 +375,18 @@ class TruncPoly:
         self.terms = clean
         self.truncated = truncated
 
+    @classmethod
+    def _make(cls, vars, cap, terms, truncated):
+        """A result built inside the package: `vars` is a tuple and `terms`
+        holds only nonzero coefficients of in-range exponents, so nothing is
+        checked again."""
+        out = cls.__new__(cls)
+        out.vars = vars
+        out.cap = cap
+        out.terms = terms
+        out.truncated = truncated
+        return out
+
     def _match(self, other):
         if not isinstance(other, TruncPoly):
             raise RingMismatch(f"expected TruncPoly, got {type(other)}")
@@ -362,7 +395,7 @@ class TruncPoly:
                 f"({self.vars}, cap {self.cap}) vs ({other.vars}, cap {other.cap})")
 
     def __add__(self, other):
-        if isinstance(other, (int, type(rat(0)), Fraction)):
+        if isinstance(other, _SCALARS):
             other = _const_like(self, other)
         self._match(other)
         out = dict(self.terms)
@@ -372,8 +405,8 @@ class TruncPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return TruncPoly(self.vars, self.cap, out,
-                         self.truncated or other.truncated)
+        return TruncPoly._make(self.vars, self.cap, out,
+                               self.truncated or other.truncated)
 
     __radd__ = __add__
 
@@ -384,35 +417,18 @@ class TruncPoly:
         return (-self) + other
 
     def __neg__(self):
-        return TruncPoly(self.vars, self.cap,
-                         {e: -c for e, c in self.terms.items()},
-                         self.truncated)
+        return TruncPoly._make(self.vars, self.cap,
+                               {e: -c for e, c in self.terms.items()},
+                               self.truncated)
 
     def __mul__(self, other):
-        if isinstance(other, (int, type(rat(0)), Fraction)):
-            if not other:
-                return TruncPoly(self.vars, self.cap, {}, self.truncated)
-            return TruncPoly(self.vars, self.cap,
-                             {e: c * other for e, c in self.terms.items()},
-                             self.truncated)
+        if isinstance(other, _SCALARS):
+            return TruncPoly._make(
+                self.vars, self.cap,
+                {e: c * other for e, c in self.terms.items()} if other else {},
+                self.truncated)
         self._match(other)
-        out = {}
-        cap = self.cap
-        dropped = False
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > cap:
-                    dropped = True
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return TruncPoly(self.vars, self.cap, out,
-                         self.truncated or other.truncated or dropped)
+        return _dot(self.vars, self.cap, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -429,15 +445,18 @@ class TruncPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.terms == ({} if other == 0 else
-                                  {(0,) * len(self.vars): rat(other)})
+        if isinstance(other, _SCALARS):
+            return self.terms == ({(0,) * len(self.vars): other} if other
+                                  else {})
         if not isinstance(other, TruncPoly):
             return NotImplemented
         return (self.vars == other.vars and self.cap == other.cap
                 and self.terms == other.terms)
 
     def __hash__(self):
+        const = (0,) * len(self.vars)
+        if not self.terms.keys() - {const}:
+            return hash(self.terms.get(const, 0))
         return hash((self.vars, self.cap, frozenset(self.terms.items())))
 
     def __bool__(self):
@@ -463,7 +482,38 @@ class TruncPoly:
 
 def _const_like(tp: TruncPoly, c) -> TruncPoly:
     c = rat(c.numerator, c.denominator) if not isinstance(c, int) else rat(c)
-    return TruncPoly(tp.vars, tp.cap, {(0,) * len(tp.vars): c})
+    return TruncPoly._make(tp.vars, tp.cap,
+                           {(0,) * len(tp.vars): c} if c else {}, False)
+
+
+def _dot(vars, cap, pairs) -> TruncPoly:
+    """The sum of a*b over (a, b) pairs of TruncPolys in (vars, cap), built
+    as one term dict. A term pair whose degrees sum above the cap is
+    dropped, and the result is `truncated` when that happened or when an
+    operand was truncated: the same value and flag as summing the products
+    one by one."""
+    out = {}
+    get = out.get
+    truncated = False
+    for a, b in pairs:
+        if (a.vars != vars or b.vars != vars or a.cap != cap
+                or b.cap != cap):
+            raise RingMismatch(
+                f"({a.vars}, cap {a.cap}) * ({b.vars}, cap {b.cap}) "
+                f"in ({vars}, cap {cap})")
+        if a.truncated or b.truncated:
+            truncated = True
+        bterms = [(e, sum(e), c) for e, c in b.terms.items()]
+        for e1, c1 in a.terms.items():
+            room = cap - sum(e1)
+            for e2, d2, c2 in bterms:
+                if d2 > room:
+                    truncated = True
+                    continue
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+    return TruncPoly._make(vars, cap, {e: c for e, c in out.items() if c},
+                           truncated)
 
 
 @dataclass(frozen=True)
@@ -543,6 +593,9 @@ class TruncPolyRing:
 
     def mul(self, a, b):
         return a * b
+
+    def dot(self, pairs):
+        return _dot(self.variables, self.cap, pairs)
 
     def div_int(self, a, n: int):
         if n == 0:

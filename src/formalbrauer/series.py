@@ -14,6 +14,8 @@ why compose/subst insist on zero constant terms in the inner argument.
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import CapTooSmall, NotAUnit, RingMismatch
 
 
@@ -164,6 +166,9 @@ class Series:
     # ----- multiplication -------------------------------------------------
 
     def mul(self, other):
+        """Product through the cap. The pairs of coefficients landing on each
+        output exponent are gathered first, and the ring sums each group in
+        one ring.dot call."""
         self._match(other)
         cap = self.cap
         rng = self.ring
@@ -173,17 +178,20 @@ class Series:
         buckets_b = {}
         for e, c in other.coeffs.items():
             buckets_b.setdefault(sum(e), []).append((e, c))
-        out = {}
+        pairs = {}
         for da, la in buckets_a.items():
             for db, lb in buckets_b.items():
                 if da + db > cap:
                     continue
                 for ea, ca in la:
                     for eb, cb in lb:
-                        e = tuple(x + y for x, y in zip(ea, eb))
-                        prev = out.get(e)
-                        out[e] = ca * cb if prev is None else prev + ca * cb
-        out = {e: c for e, c in out.items() if not rng.is_zero(c)}
+                        e = tuple(map(add, ea, eb))
+                        pairs.setdefault(e, []).append((ca, cb))
+        out = {}
+        for e, ps in pairs.items():
+            c = rng.dot(ps)
+            if not rng.is_zero(c):
+                out[e] = c
         return Series(rng, self.vars, cap, out)
 
     def _pow_memo(self, n, memo):
@@ -217,13 +225,15 @@ class Series:
             out = out.add(Series.constant(self.ring, inner.cap, c0, inner.vars))
         ks = [d for (d,) in self.coeffs if 1 <= d <= inner.cap]
         ks.sort()
+        # each running power inner^k joins the memo, so a later gap that
+        # halves down to k reuses it: exponents 1, 3, 9, 27, 81 take 8 muls
         memo = {1: inner}
         cur = None
         cur_k = 0
         for k in ks:
-            step = inner._pow_memo(k - cur_k, memo) if cur is not None else \
-                inner._pow_memo(k, memo)
+            step = inner._pow_memo(k - cur_k, memo)
             cur = step if cur is None else cur.mul(step)
+            memo.setdefault(k, cur)
             cur_k = k
             out = out.add(cur.scalar_mul(self.coeffs[(k,)]))
         return out

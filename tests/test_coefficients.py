@@ -192,6 +192,21 @@ def test_truncation_flag_is_sticky():
     assert not ((t + u) ** 2).truncated
 
 
+def test_truncpoly_equals_and_hashes_like_its_constant():
+    R = TruncPolyRing(("t", "u"), 4)
+    assert R.one == 1 and hash(R.one) == hash(1)
+    assert len({R.one, 1}) == 1
+    half = R.from_rat(rat(1, 2))
+    assert half == rat(1, 2) and rat(1, 2) == half
+    assert hash(half) == hash(rat(1, 2))
+    assert half != rat(1, 3) and half != 1
+    assert R.zero == 0 and R.zero == rat(0)
+    assert hash(R.zero) == hash(0) == hash(rat(0))
+    t = R.var("t")
+    assert t != 0 and t != 1 and R.one + t != 1
+    assert hash(R.one + t) == hash(t + R.one)
+
+
 def test_truncpoly_inversion_is_geometric():
     R = TruncPolyRing(("t",), 4)
     t = R.var("t")
