@@ -32,7 +32,6 @@ from .fgl import (
     landweber_chain,
     log_from_fgl,
     p_series,
-    reduced_p_series,
     standard_law,
 )
 from .k3brauer import (
@@ -62,8 +61,7 @@ __all__ = [
     "RingMismatch", "CapTooSmall", "FirstNonzeroNotPPower", "SingularCurve",
     "SmoothnessCheckFailed", "CertificationRefused",
     "Logarithm", "FormalGroupLaw", "PSeries", "HeightResult",
-    "standard_law", "fgl_from_log", "log_from_fgl", "p_series",
-    "reduced_p_series", "height",
+    "standard_law", "fgl_from_log", "log_from_fgl", "p_series", "height",
     "landweber_chain", "ideal_contains", "hazewinkel_log",
     "elliptic_fgl", "count_points", "elliptic_ss_oracle",
     "QuarticForm", "BUILTIN_QUARTICS", "named_quartic", "beta_coefficient",

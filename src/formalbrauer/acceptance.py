@@ -20,16 +20,15 @@ from .fgl import (
     ideal_contains,
     log_from_fgl,
     p_series,
-    reduced_p_series,
     standard_law,
     elliptic_fgl,
     elliptic_ss_oracle,
 )
 from .k3brauer import (
-    beta_coefficient,
     brauer_height,
     fermat_log,
     named_quartic,
+    power_diagonal,
     stienstra_log,
 )
 from .landweber import builtin_scenario, landweber_check, rational_certificate
@@ -116,11 +115,10 @@ def check_stienstra_closed_form(profile: str):
     cap = _caps(profile)["closed_form_cap"]
     f = named_quartic("fermat")
     closed = fermat_log(cap)
-    general = stienstra_log(f, cap, method="general")
-    ok = closed.log.series == general.log.series
-    spots = (beta_coefficient(f, 5, method="general") == 24
-             and beta_coefficient(f, 9, method="general") == 2520
-             and beta_coefficient(f, 3, method="general") == 0
+    diag = power_diagonal(f, cap - 1)
+    ok = closed.betas == {m: diag[m - 1] for m in range(1, cap + 1)
+                          if diag[m - 1]}
+    spots = (diag[4] == 24 and diag[8] == 2520 and diag[2] == 0
              and closed.log.series.coeff(5) == rat(24, 5)
              and closed.log.series.coeff(9) == rat(280))
     ok = ok and spots
@@ -154,8 +152,9 @@ def check_fgl_axioms(profile: str):
 
 def check_p_series_routes(profile: str):
     """The logarithm route and the p-fold iterate produce the same p-series,
-    and for the built-in quartics the residue route mod p^(K+1) gives the
-    logarithm route's p-series reduced mod p, coefficient by coefficient."""
+    and for the built-in quartics the height read from v_p(beta_(p^n))
+    (brauer_height) equals the one read from the logarithm route's p-series
+    reduced mod p, at windows p^2 + 1."""
     primes = _caps(profile)["route_primes"]
     rows = []
     ok = True
@@ -170,16 +169,16 @@ def check_p_series_routes(profile: str):
         hz_law = fgl_from_log(hz, cap)
         same_hz = p_series(hz_law, Prime(p), cap).series == \
             p_series(hz, Prime(p), cap).series
-        window = min(p * p + 1, 50)
-        same_res = True
+        window = p * p + 1
+        same_heights = True
         for qname in ("fermat", "diag-1248", "fermat-cross"):
-            blog = stienstra_log(named_quartic(qname), window)
-            same_res = same_res and (
-                reduced_p_series(blog.betas, Prime(p), window).series
-                == p_series(blog.log, Prime(p), window).reduce().series)
-        ok = ok and same_mult and same_hz and same_res
+            f = named_quartic(qname)
+            ps = p_series(stienstra_log(f, window).log, Prime(p), window)
+            same_heights = same_heights and (
+                brauer_height(f, p, 2) == height(ps.reduce(), 2))
+        ok = ok and same_mult and same_hz and same_heights
         rows.append(f"p={p}: multiplicative {same_mult}, hazewinkel {same_hz}"
-                    f", quartic residues through {window} {same_res}")
+                    f", quartic heights through {window} {same_heights}")
     return ok, "; ".join(rows)
 
 

@@ -311,119 +311,6 @@ def p_series(source, p: Prime, cap: int) -> PSeries:
     raise RingMismatch(f"cannot build a p-series from {type(source)}")
 
 
-def _mul_mod(a, b, n, q):
-    """a * b through degree n, coefficients mod q; a and b are lists indexed
-    by degree."""
-    out = [0] * (n + 1)
-    bs = [(j, y) for j, y in enumerate(b[:n + 1]) if y]
-    for i, x in enumerate(a[:n + 1]):
-        if x:
-            for j, y in bs:
-                if i + j > n:
-                    break
-                out[i + j] += x * y
-    return [c % q for c in out]
-
-
-def _compose_mod(f, g, n, q):
-    """f(g) through degree n, coefficients mod q, by Horner's rule; f and g
-    are degree-indexed lists and g(0) = 0. Terms f_k with k * val(g) > n
-    cannot reach degree n and are skipped, so g = 0 costs nothing."""
-    w = next((d for d, c in enumerate(g[:n + 1]) if c), None)
-    top = 0 if w is None else min(n // w, len(f) - 1)
-    out = [f[top] % q] + [0] * n
-    for k in range(top - 1, -1, -1):
-        out = _mul_mod(out, g, n, q)
-        out[0] = (out[0] + f[k]) % q
-    return out
-
-
-def _invert_mod(a, n, q):
-    """1 / a through degree n, coefficients mod q, for a with a(0) = 1."""
-    nz = [(j, c) for j, c in enumerate(a[1:n + 1], start=1) if c]
-    inv = [1] + [0] * n
-    for k in range(1, n + 1):
-        inv[k] = -sum(c * inv[k - j] for j, c in nz if j <= k) % q
-    return inv
-
-
-def reduced_p_series(betas, p: Prime, window: int) -> PSeries:
-    """[p](T) mod p through degree `window` for the logarithm
-    l(T) = sum_m beta_m T^m / m with integer betas and beta_1 = 1, computed
-    with integers mod p^(K+1) only, where K is the largest v_p(m) over the
-    m <= window with beta_m != 0. Equal, coefficient by coefficient, to
-    p_series(Logarithm(l), p, window).reduce(), and raises NonIntegral in
-    exactly the cases where that reduction does, at the lowest degree whose
-    coefficient is not p-integral.
-
-    L = p^K l has the p-integral coefficients p^(K-v) beta_m / u, where
-    m = p^v u; l'(T) = sum beta_m T^(m-1) has integer coefficients. g is
-    kept as its residue mod p (lifted to [0, p)); it starts at 0, the residue
-    of pT, exact through degree m = 1. Each Newton step (Brent and Kung,
-    J. ACM 25, 1978) forms E = L(g) - p L(T) mod p^(K+1) through degree
-    m2 = 2m + 1. If E is not 0 mod p^K at some degree in (m, m2], the lowest
-    such degree raises NonIntegral; otherwise g gains the terms
-    -(E / p^K) / l'(g) mod p in degrees m + 1 .. m2. No step divides by an
-    integer.
-
-    Why this is exact. Suppose [p] is p-integral through degree m and
-    g = [p] mod (p, T^(m+1)). Write delta = g - [p] = delta_lo + delta_hi,
-    delta_lo the part through degree m (0 mod p) and delta_hi = -[p]_(>m).
-    By Taylor, l(g) - l([p]) = sum_k (l^(k)/k!)([p]) delta^k with
-    l^(k)/k! = sum_m beta_m C(m-1, k-1)/k T^(m-k). Through degree 2m + 1 at
-    most one factor of delta_hi fits in delta^k, so for k >= 2 the terms
-    are delta_lo^k / k (divisible by p, since v_p(k) < k) and
-    C(m-1, k-1) delta_lo^(k-1) delta_hi (divisible by p), and the k = 1 term
-    is l'([p]) delta_lo (divisible by p) plus l'([p]) delta_hi. Hence,
-    below the lowest degree d0 in (m, m2] where [p] is not p-integral,
-    E / p^K = l(g) - l([p]) = l'([p]) delta_hi = l'(g) delta_hi mod p (l' is
-    integral, and only its terms through degree m = m2 - m - 1 meet
-    delta_hi), which is the update above. At d0 itself,
-    E_d0 / p^K = -[p]_d0 + (a p-integral sum), which is not p-integral. So
-    E / p^K is p-integral through m2 exactly when [p] is, and the check
-    fires exactly where the reduction over QQ would.
-
-    Cost. Below the first nonzero degree of [p] mod p, g = 0 and L(g) = 0,
-    so E = -p L(T): an AtLeast window costs O(window) residue checks.
-    """
-    p = p if isinstance(p, Prime) else Prime(int(p))
-    pp = p.p
-    if betas.get(1) != 1:
-        raise ValueError("beta_1 must be 1")
-    terms = [(m, b, val_p(m, pp)) for m, b in betas.items()
-             if b and m <= window]
-    K = max(v for _, _, v in terms)
-    q, pK = pp ** (K + 1), pp ** K
-    L = [0] * (window + 1)     # p^K l(T) mod p^(K+1)
-    dl = [0] * window          # l'(T) mod p: dl[m - 1] = beta_m
-    for m, b, v in terms:
-        L[m] = pp ** (K - v) * b * pow(m // pp ** v, -1, q) % q
-        dl[m - 1] = b % pp
-    g = [0] * (window + 1)
-    m = 1
-    while m < window:
-        m2 = min(2 * m + 1, window)
-        lg = _compose_mod(L[:m2 + 1], g, m2, q)
-        e = []
-        for d in range(m + 1, m2 + 1):
-            E = (lg[d] - pp * L[d]) % q
-            if E % pK:
-                raise NonIntegral(
-                    f"degree-{d} coefficient of [{pp}] is not {pp}-integral",
-                    degree=d)
-            e.append(E // pK)
-        if any(e):
-            h = m2 - m - 1
-            slope = _invert_mod(_compose_mod(dl[:h + 1], g, h, pp), h, pp)
-            for i, s in enumerate(_mul_mod(e, slope, h, pp)):
-                g[m + 1 + i] = -s % pp
-        m = m2
-    rng = ResidueRing(p, 1)
-    return PSeries(p, Series(rng, ("T",), window,
-                             {(d,): Residue(rng, c)
-                              for d, c in enumerate(g) if c}))
-
-
 @dataclass(frozen=True)
 class HeightResult:
     """Finite(h) when the first nonzero coefficient of the reduced p-series
@@ -479,40 +366,29 @@ def height(ps: PSeries, h_max: int) -> HeightResult:
     return HeightResult("at_least", h_max)
 
 
-def windowed_height(reduced_at, p: Prime, h_max: int, cap: int):
-    """(output, height) read off the smallest window that decides.
+def escalating_height(source, p: Prime, h_max: int, cap: int):
+    """(p-series, height) read off the smallest window that decides.
 
-    reduced_at(window) returns (output, [p] mod p through the window). It is
-    called at the windows p^1 + 1, p^2 + 1, ... below cap, then at cap, and
+    [p] of a Logarithm or law is built in its own coefficient ring at the
+    windows p^1 + 1, p^2 + 1, ... below cap, then at cap, and reduced mod p;
     the first window whose reduction has a nonzero coefficient gives the
-    verdict; only an all-zero series goes on to the full cap, where the scan
+    verdict. Only an all-zero series goes on to the full cap, where the scan
     certifies AtLeast(h_max). A series at cap N is exact through degree N,
     so the verdict is the one the full-cap window gives. Integrality is
     checked through the window the verdict was read from: a p-denominator
     above the witnessing degree is not looked for.
     """
+    p = p if isinstance(p, Prime) else Prime(int(p))
     k = 1
     while True:
         window = min(p.p ** k + 1, cap)
-        out, red = reduced_at(window)
-        if window == cap:
-            return out, height(red, h_max)
-        if not red.series.is_zero():
-            return out, height(red, k)
-        k += 1
-
-
-def escalating_height(source, p: Prime, h_max: int, cap: int):
-    """(p-series, height): windowed_height over the p-series of a Logarithm
-    or law, built in its own coefficient ring and reduced mod p per window.
-    """
-    p = p if isinstance(p, Prime) else Prime(int(p))
-
-    def reduced_at(window):
         ps = p_series(source, p, window)
-        return ps, ps.reduce()
-
-    return windowed_height(reduced_at, p, h_max, cap)
+        red = ps.reduce()
+        if window == cap:
+            return ps, height(red, h_max)
+        if not red.series.is_zero():
+            return ps, height(red, k)
+        k += 1
 
 
 @dataclass

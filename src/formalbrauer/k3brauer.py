@@ -12,26 +12,19 @@ Fermat quartic the betas collapse to the closed form (4n)!/(n!)^4 in degree
 expanded powers of f.
 
 Everything downstream (mod-p heights, the ordinarity test beta_p mod p,
-exactness certificates) consumes the logarithm built here. Heights are read
-from the p-series of the induced group law reduced mod p: first nonzero
-coefficient in degree p^h means height h, and a window that stays zero is
-reported as a lower bound, never as infinity. brauer_height gets [p] mod p
-straight from the integer betas (fgl.reduced_p_series), with integers mod
-p^(K+1) and no rationals; the p-series over QQ stays as its test oracle and
-as the route exactness reports take, which need the exact v_n.
+exactness certificates) consumes the logarithm built here. A height is the
+least n with v_p(beta_(p^n)) = n - 1, the p-typical criterion brauer_height
+documents: it reads the betas in the degrees p^n only and builds no p-series.
+A bound that decides nothing is reported as a lower bound, never as
+infinity. The p-series over QQ, reduced mod p, stays as the criterion's test
+oracle and as the route exactness reports take, which need the exact v_n.
 """
 
 from __future__ import annotations
 
 from .coefficients import Prime, multinomial, rat, val_p
-from .errors import CapTooSmall, RingMismatch
-from .fgl import (
-    HeightResult,
-    Logarithm,
-    fgl_from_log,
-    reduced_p_series,
-    windowed_height,
-)
+from .errors import CapTooSmall, NonIntegral
+from .fgl import HeightResult, Logarithm, fgl_from_log
 from .series import Series
 
 QUARTIC_VARS = ("T0", "T1", "T2", "T3")
@@ -210,27 +203,23 @@ def power_diagonal(f: QuarticForm, n_max: int) -> list:
     return out
 
 
-def beta_coefficient(f: QuarticForm, m: int, method: str = "auto") -> int:
+def beta_coefficient(f: QuarticForm, m: int) -> int:
     """beta_m = coefficient of (T0 T1 T2 T3)^(m-1) in f^(m-1).
 
-    method "auto" takes the closed form for diagonal quartics
-    (multinomial(4n; n,n,n,n) * (abcd)^n in degree m = 4n+1, zero elsewhere)
-    and the corridor pass otherwise; "general" forces the corridor pass,
-    which is how the closed form gets cross-checked.
+    Diagonal quartics take the closed form multinomial(4n; n,n,n,n) *
+    (abcd)^n in degree m = 4n+1 (zero elsewhere); every other quartic takes
+    the corridor pass power_diagonal, which is also how the closed form gets
+    cross-checked.
     """
     if m < 1:
         raise ValueError("beta index starts at 1")
-    if method not in ("auto", "general", "diagonal"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "diagonal" or (method == "auto" and f.is_diagonal()):
-        if not f.is_diagonal():
-            raise ValueError(f"{f.name} is not diagonal")
-        if (m - 1) % 4:
-            return 0
-        n = (m - 1) // 4
-        a, b, c, d = f.diagonal()
-        return multinomial(4 * n, (n, n, n, n)) * (a * b * c * d) ** n
-    return power_diagonal(f, m - 1)[m - 1]
+    if not f.is_diagonal():
+        return power_diagonal(f, m - 1)[m - 1]
+    if (m - 1) % 4:
+        return 0
+    n = (m - 1) // 4
+    a, b, c, d = f.diagonal()
+    return multinomial(4 * n, (n, n, n, n)) * (a * b * c * d) ** n
 
 
 class BrauerLog:
@@ -263,15 +252,13 @@ def _log_from_betas(f: QuarticForm, betas: dict, cap: int) -> BrauerLog:
     return BrauerLog(Logarithm(Series(QQ, ("T",), cap, coeffs)), f, betas)
 
 
-def stienstra_log(f: QuarticForm, cap: int, method: str = "auto") -> BrauerLog:
-    """Logarithm of the formal Brauer group of f, truncated at `cap`."""
+def stienstra_log(f: QuarticForm, cap: int) -> BrauerLog:
+    """Logarithm of the formal Brauer group of f, truncated at `cap`: the
+    closed form for diagonal quartics, one corridor pass otherwise."""
     if cap < 1:
         raise CapTooSmall("logarithm needs cap >= 1")
-    if method not in ("auto", "general", "diagonal"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "diagonal" or (method == "auto" and f.is_diagonal()):
-        betas = {m: beta_coefficient(f, m, method="diagonal")
-                 for m in range(1, cap + 1, 4)}
+    if f.is_diagonal():
+        betas = {m: beta_coefficient(f, m) for m in range(1, cap + 1, 4)}
     else:
         diag = power_diagonal(f, cap - 1)
         betas = {m: diag[m - 1] for m in range(1, cap + 1)}
@@ -297,27 +284,36 @@ def fermat_log(cap: int) -> BrauerLog:
 # ---------------------------------------------------------------------------
 
 
+# the bivariate law spot-check runs through min(LAW_CAP, cap)
+LAW_CAP = 12
+
+
 def brauer_height(f: QuarticForm, p, h_max: int, cap: int | None = None,
-                  law_cap: int = 12, with_log: bool = False):
+                  with_log: bool = False):
     """Height of the formal Brauer group of f in characteristic p.
 
-    Pipeline: extract the betas at the first window p + 1 (or at
-    min(law_cap, cap) if that is larger), rebuild the group law at
-    min(law_cap, cap) with p-integrality enforced coefficientwise, then read
-    [p] mod p on the windows p^1 + 1, p^2 + 1, ..., cap (fgl.windowed_height)
-    until one has a nonzero coefficient; only an all-zero series goes on to
-    the full cap (p^h_max + 1 unless given). The betas are extracted again
-    only when a window goes past the ones at hand. Each window's [p] mod p
-    comes from the integer betas by fgl.reduced_p_series, with integers mod
-    p^(K+1) and no rationals; it raises NonIntegral exactly where the
-    reduction of the p-series over QQ would. Returns Finite(h) or
-    AtLeast(h_max); NonIntegral aborts propagate.
+    The height is the least n with v_p(beta_(p^n)) = n - 1, with witness
+    degree p^n. Why: Cartier's p-typification of l = sum beta_m T^m / m
+    keeps only the terms l_n = beta_(p^n) / p^n and is strictly isomorphic
+    to the law, so the height does not change. Hazewinkel's functional
+    equation p l_n = sum_(i<n) l_i v_(n-i)^(p^i) (l_0 = 1) defines v_n, and
+    the height is the least n with v_n a unit mod p. When
+    v_1, ..., v_(n-1) = 0 mod p, each term with i >= 1 has valuation at
+    least p^i - i >= 1, so v_n = beta_(p^n) / p^(n-1) mod p. The scan runs
+    n = 1, 2, ... while p^n <= cap (p^h_max + 1 unless given); if no n
+    decides, the verdict is AtLeast(h_max).
 
-    Integrality is checked through the window the verdict was read from: a
-    p-denominator above the witnessing degree is not looked for here. The
-    law spot-check above and the Stienstra integrality of smooth quartics
-    cover it. With with_log, the BrauerLog of the last window is returned
-    as well; it holds beta_p.
+    The argument assumes the law is p-integral, which Stienstra (Amer. J.
+    Math. 109, 1987) proves for the logarithms of these formal groups. A
+    value v_p(beta_(p^n)) < n - 1 contradicts it and raises NonIntegral.
+    Apart from the law spot-check, which rebuilds the bivariate law at
+    min(LAW_CAP, cap) with p-integrality enforced coefficientwise,
+    denominators are looked for only in the degrees p^n; the p-series over
+    QQ (fgl.escalating_height) would look in every degree of its window.
+
+    The betas are extracted once, through max(min(LAW_CAP, cap), p); any
+    beta_(p^n) above that comes from beta_coefficient. With with_log, the
+    BrauerLog of that extraction is returned as well; it holds beta_p.
     """
     p = p if isinstance(p, Prime) else Prime(int(p))
     if h_max < 1:
@@ -330,21 +326,23 @@ def brauer_height(f: QuarticForm, p, h_max: int, cap: int | None = None,
     if cap < p.p ** h_max:
         raise CapTooSmall(
             f"cap {cap} < p^h_max = {p.p ** h_max}; the verdict window is empty")
-    lc = min(cap, law_cap)
-    blog = stienstra_log(f, max(min(p.p + 1, cap), lc))
+    lc = min(cap, LAW_CAP)
+    blog = stienstra_log(f, max(lc, p.p))
     if lc >= 2:
-        # the law itself must be p-integral; spot-check the bivariate
-        # expansion where it is affordable, the p-series check below covers
-        # the univariate window the verdict is read from
         fgl_from_log(blog.log, lc, integral_at=p)
-
-    def reduced_at(window):
-        nonlocal blog
-        if window > blog.cap:
-            blog = stienstra_log(f, window)
-        return blog, reduced_p_series(blog.betas, p, window)
-
-    blog, result = windowed_height(reduced_at, p, h_max, cap)
+    result = HeightResult("at_least", h_max)
+    n, q = 1, p.p
+    while q <= cap:
+        beta = blog.beta(q) if q <= blog.cap else beta_coefficient(f, q)
+        v = val_p(beta, p)
+        if v < n - 1:
+            raise NonIntegral(
+                f"v_{n} = beta_{q} / {p.p}^{n - 1} is not {p.p}-integral "
+                f"for {f.name}", degree=q, value=beta)
+        if v == n - 1:
+            result = HeightResult("finite", n, first_nonzero_degree=q)
+            break
+        n, q = n + 1, q * p.p
     return (result, blog) if with_log else result
 
 

@@ -486,13 +486,16 @@ class K3SpectrumCertificate:
         return doc
 
 
+# the law a certificate embeds is rebuilt and checked through min(LAW_CAP, cap)
+LAW_CAP = 10
+
+
 def certify_k3_spectrum(R: RingPresentation, f: QuarticForm, h_max: int,
-                        cap: int | None = None,
-                        law_cap: int = 10) -> K3SpectrumCertificate:
+                        cap: int | None = None) -> K3SpectrumCertificate:
     """Certificate for the formal Brauer group of f over the p-local
     presentation R, refusing unless the exactness report comes back Exact.
 
-    The embedded law is rebuilt at min(law_cap, cap) with p-integrality
+    The embedded law is rebuilt at min(LAW_CAP, cap) with p-integrality
     enforced and the full axiom suite run, so a certificate never carries an
     unchecked law. The report comes from landweber_check, so its p-series
     is built on the same escalating windows."""
@@ -504,7 +507,7 @@ def certify_k3_spectrum(R: RingPresentation, f: QuarticForm, h_max: int,
     if cap is None:
         cap = p.p ** h_max + 1
     blog = stienstra_log(f, cap)
-    law = fgl_from_log(blog.log, min(law_cap, cap), integral_at=p)
+    law = fgl_from_log(blog.log, min(LAW_CAP, cap), integral_at=p)
     law.verify_axioms()
     report = landweber_check(R, blog.log, h_max, cap)
     if report.verdict != "exact":

@@ -12,6 +12,7 @@ from formalbrauer.errors import NonIntegral
 from formalbrauer.k3brauer import beta_coefficient, named_quartic
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "rational_fermat.json"
+HEIGHT_GRID_PATH = Path(__file__).parent / "golden" / "height_grid.json"
 
 
 def run(argv):
@@ -104,6 +105,19 @@ def test_height_fermat_cross_beta_p_rows(capsys):
                    (11, 0, False), (13, 11, True)]
     cross = named_quartic("fermat-cross")
     assert all(b == beta_coefficient(cross, p) % p for p, b, _ in got)
+
+
+HEIGHT_GRID = json.loads(HEIGHT_GRID_PATH.read_text())
+
+
+@pytest.mark.parametrize("label", sorted(HEIGHT_GRID))
+def test_height_grid_matches_frozen_output(label, capsys):
+    # `height --format json --no-timestamp` on the census grid, frozen from
+    # the window route over [p] mod p; the v_p(beta_(p^n)) criterion must
+    # print the same bytes, witness degrees and beta_p column included
+    cell = HEIGHT_GRID[label]
+    assert run(cell["argv"]) == 0
+    assert capsys.readouterr().out == cell["stdout"]
 
 
 def test_height_reads_quartic_file(tmp_path, capsys):

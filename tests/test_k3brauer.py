@@ -126,13 +126,13 @@ def test_beta_frozen_values_cross():
 
 
 def test_beta_closed_form_matches_corridor():
+    corridor = power_diagonal(FERMAT, 16)
     for m in range(1, 18):
-        assert (beta_coefficient(FERMAT, m, method="diagonal")
-                == beta_coefficient(FERMAT, m, method="general"))
+        assert beta_coefficient(FERMAT, m) == corridor[m - 1]
     diag = named_quartic("diag-1248")
+    corridor = power_diagonal(diag, 12)
     for m in (1, 5, 9, 13):
-        assert (beta_coefficient(diag, m, method="diagonal")
-                == beta_coefficient(diag, m, method="general"))
+        assert beta_coefficient(diag, m) == corridor[m - 1]
 
 
 def test_beta_matches_full_expansion_oracle():
@@ -145,9 +145,7 @@ def test_beta_guards():
     with pytest.raises(ValueError):
         beta_coefficient(FERMAT, 0)
     with pytest.raises(ValueError):
-        beta_coefficient(CROSS, 5, method="diagonal")
-    with pytest.raises(ValueError):
-        beta_coefficient(FERMAT, 5, method="nope")
+        beta_coefficient(CROSS, 0)
 
 
 def test_power_diagonal_prefix_stability():
@@ -171,9 +169,10 @@ def test_diagonal_vanishing_pattern():
 
 def test_fermat_log_closed_form_equals_general():
     a = fermat_log(17)
-    b = stienstra_log(FERMAT, 17, method="general")
-    assert a.log.series == b.log.series
-    assert a.betas == b.betas
+    corridor = power_diagonal(FERMAT, 16)
+    assert a.betas == {m: corridor[m - 1] for m in range(1, 18)
+                       if corridor[m - 1]}
+    assert a.log.series == stienstra_log(FERMAT, 17).log.series
 
 
 def test_brauer_log_cap_guard():

@@ -1,19 +1,22 @@
-"""[p] mod p from integer betas, against the p-series over QQ.
+"""Heights from the residues of the integer betas, against the p-series
+over QQ.
 
-fgl.reduced_p_series computes [p](T) mod p with integers mod p^(K+1) only.
-The oracle is the route it replaced in brauer_height: the p-series of the
-rational logarithm sum beta_m T^m / m, built over QQ and reduced mod p. The
-two must give the same residues coefficient by coefficient, or NonIntegral
-at the same lowest degree, or FirstNonzeroNotPPower on both sides.
+brauer_height reads the height as the least n with v_p(beta_(p^n)) = n - 1,
+that is, from beta_(p^n) mod p^n. The oracle is the route it replaced: the
+p-series of the rational logarithm sum beta_m T^m / m, built over QQ through
+the whole window, reduced mod p and scanned (fgl.height). The two must give
+the same verdict, witness degree included.
 """
 
+from itertools import product
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from formalbrauer import fgl, k3brauer
-from formalbrauer.coefficients import QQ, Prime, rat, val_p
-from formalbrauer.errors import FirstNonzeroNotPPower, NonIntegral
-from formalbrauer.fgl import Logarithm, height, p_series, reduced_p_series
+from formalbrauer.coefficients import Prime
+from formalbrauer.errors import NonIntegral
+from formalbrauer.fgl import height, p_series
 from formalbrauer.k3brauer import (
     QuarticForm,
     brauer_height,
@@ -22,97 +25,48 @@ from formalbrauer.k3brauer import (
     smooth_check_fp,
     stienstra_log,
 )
-from formalbrauer.series import Series
 
 
-def _qq_p_series(betas, p, window):
-    coeffs = {(m,): rat(b, m) for m, b in betas.items() if b and m <= window}
-    log = Logarithm(Series(QQ, ("T",), window, coeffs))
-    return p_series(log, Prime(p), window)
-
-
-def _verdict(red, h_max):
-    try:
-        return height(red, h_max)
-    except FirstNonzeroNotPPower:
-        return "FirstNonzeroNotPPower"
-
-
-def _assert_routes_agree(betas, p, window):
-    """Kernel and QQ oracle agree; returns the outcome's kind."""
-    ps = _qq_p_series(betas, p, window)
-    bad = [d for (d,), c in ps.series.coeffs.items() if val_p(c, p) < 0]
-    if bad:
-        with pytest.raises(NonIntegral) as qq_err:
-            ps.reduce()
-        with pytest.raises(NonIntegral) as residue_err:
-            reduced_p_series(betas, Prime(p), window)
-        assert qq_err.value.degree == residue_err.value.degree == min(bad)
-        return "NonIntegral"
-    want = ps.reduce()
-    got = reduced_p_series(betas, Prime(p), window)
-    assert got.cap == want.cap == window
-    for d in range(window + 1):
-        assert got.series.coeff(d) == want.series.coeff(d), f"degree {d}"
-    h_max = 0
-    while p ** (h_max + 1) <= window:
-        h_max += 1
-    verdict = _verdict(got, h_max)
-    assert verdict == _verdict(want, h_max)
-    return verdict if isinstance(verdict, str) else verdict.kind
-
-
-@st.composite
-def integer_logs(draw):
-    """(betas, p, window): beta_1 = 1 and random integer betas up to the
-    window, about half of them scaled by p^(v_p(m) - 1), so that the
-    logarithm sum beta_m T^m / m gives both integral and non-integral laws.
-    The betas come from a seeded random.Random: drawn one by one, they lean
-    towards 0, and the Newton steps with g != 0 then seldom see a slope
-    l'(g) != 1."""
-    p = draw(st.sampled_from([3, 5, 7]))
-    window = draw(st.integers(2, 50))
-    rnd = draw(st.randoms(use_true_random=False))
-    betas = {1: 1}
-    for m in range(2, window + 1):
-        b = rnd.randint(-30, 30)
-        if rnd.random() < 0.5:
-            b *= p ** max(val_p(m, p) - 1, 0)
-        betas[m] = b
-    return betas, p, window
-
-
-@settings(max_examples=60, deadline=None)
-@given(integer_logs())
-def test_residue_route_matches_qq_route_on_random_betas(case):
-    _assert_routes_agree(*case)
-
-
-def test_random_betas_reach_every_outcome():
-    # the outcomes the hypothesis test is after, frozen: height 1 with
-    # Newton steps past degree 3 that run with g != 0, once more where the
-    # slope l'(g) != 1 decides the degree-15 residue, once where a step must
-    # stop at degree 2m + 1, a first nonzero coefficient in degree 6, and
-    # beta_25 = 2 != beta_5^2 mod 5, which leaves a 5-denominator in degree 25
-    assert _assert_routes_agree({1: 1, 3: 2, 9: 4}, 3, 12) == "finite"
-    slope_decides = {1: 1, 2: -5, 3: -16, 4: -20, 6: -11, 8: 12, 9: -11,
-                     11: -14, 14: -7}
-    assert _assert_routes_agree(slope_decides, 3, 16) == "finite"
-    # [5]_5 != 0 mod 5 and beta_2 != 0: a step carried to 2m + 2 = 10
-    # would miss (beta_2 / 2) [5]_5^2 there
-    assert _assert_routes_agree({1: 1, 2: -4, 3: -3, 5: -2, 8: -3}, 5, 10) \
-        == "finite"
-    assert _assert_routes_agree({1: 1, 4: 2, 6: 2}, 3, 7) == \
-        "FirstNonzeroNotPPower"
-    assert _assert_routes_agree({1: 1, 5: 1, 25: 2}, 5, 30) == "NonIntegral"
+def _qq_height(f, p, h_max, cap=None):
+    """The QQ route: [p] over QQ through the whole window, reduced mod p."""
+    cap = p ** h_max + 1 if cap is None else cap
+    ps = p_series(stienstra_log(f, cap).log, Prime(p), cap)
+    return height(ps.reduce(), h_max)
 
 
 @pytest.mark.parametrize("name", ["fermat", "diag-1248", "fermat-cross"])
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_residue_route_matches_qq_route_on_quartics(name, p):
-    window = min(p * p + 1, 50)
-    _assert_routes_agree(stienstra_log(named_quartic(name), window).betas,
-                         p, window)
+    f = named_quartic(name)
+    assert brauer_height(f, p, 2) == _qq_height(f, p, 2)
+
+
+MONOMIALS = [e for e in product(range(5), repeat=4) if sum(e) == 4]
+DIAGONAL = [e for e in MONOMIALS if max(e) == 4]
+COEFFS = st.integers(-6, 6).filter(bool)
+
+
+@st.composite
+def random_quartics(draw):
+    """(quartic, p): at most six monomials with small nonzero integer
+    coefficients, with or without the four pure fourth powers."""
+    p = draw(st.sampled_from([3, 5]))
+    terms = {}
+    if draw(st.booleans()):
+        terms = {e: draw(COEFFS) for e in DIAGONAL}
+    extra = draw(st.lists(st.sampled_from(MONOMIALS), min_size=1 - bool(terms),
+                          max_size=6 - len(terms), unique=True))
+    for e in extra:
+        terms[e] = draw(COEFFS)
+    assume(any(c % p for c in terms.values()))
+    return QuarticForm(terms, name="random"), p
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_quartics())
+def test_criterion_matches_qq_route_on_random_quartics(case):
+    f, p = case
+    assert brauer_height(f, p, 2) == _qq_height(f, p, 2)
 
 
 # fermat + T0^3 T1 + T0^2 T1 T2: nondiagonal, smooth mod 3, height 2 at 3
@@ -125,16 +79,25 @@ HEIGHT_TWO_AT_3 = QuarticForm(
 def test_nondiagonal_height_two_quartic():
     f = HEIGHT_TWO_AT_3
     assert smooth_check_fp(f, 3)
-    qq = height(p_series(stienstra_log(f, 10).log, Prime(3), 10).reduce(), 2)
+    qq = _qq_height(f, 3, 2)
     assert (qq.kind, qq.value, qq.first_nonzero_degree) == ("finite", 2, 9)
     assert brauer_height(f, 3, 2) == qq
-    assert brauer_height(f, 3, 3) == qq
-    # at window 28 the Newton steps past degree 9 run with g != 0
-    assert _assert_routes_agree(stienstra_log(f, 28).betas, 3, 28) == "finite"
+    assert brauer_height(f, 3, 3) == qq == _qq_height(f, 3, 3)
+
+
+def test_cap_above_p_to_the_h_max_reads_further_degrees():
+    # n runs while p^n <= cap, as the QQ route scans the whole cap: h_max 1
+    # with cap 10 still reads beta_9 and finds height 2
+    f = HEIGHT_TWO_AT_3
+    res = brauer_height(f, 3, 1, cap=10)
+    assert (res.kind, res.value, res.first_nonzero_degree) == ("finite", 2, 9)
+    assert res == _qq_height(f, 3, 1, cap=10)
+    fermat = named_quartic("fermat")
+    assert brauer_height(fermat, 3, 2, cap=28) == _qq_height(fermat, 3, 2, 28)
 
 
 # ---------------------------------------------------------------------------
-# brauer_height on the residue route
+# brauer_height on the v_p(beta_(p^n)) criterion
 # ---------------------------------------------------------------------------
 
 
@@ -149,25 +112,55 @@ def test_brauer_height_builds_no_p_series_over_qq(monkeypatch):
 
 def test_brauer_height_extracts_the_log_through_the_deciding_window(
         monkeypatch):
-    caps = []
-    extract = k3brauer.stienstra_log
+    caps, singles = [], []
+    extract, single = k3brauer.stienstra_log, k3brauer.beta_coefficient
 
-    def recording(f, cap, *args, **kwargs):
+    def recording(f, cap):
         caps.append(cap)
-        return extract(f, cap, *args, **kwargs)
+        return extract(f, cap)
+
+    def recording_single(f, m):
+        singles.append(m)
+        return single(f, m)
 
     monkeypatch.setattr(k3brauer, "stienstra_log", recording)
-    # decided in the first window, 14; the law spot-check reads cap 12
+    monkeypatch.setattr(k3brauer, "beta_coefficient", recording_single)
+    # one extraction through p = 13, which decides; the law spot-check
+    # reads its first 12 degrees
     res, blog = brauer_height(named_quartic("fermat-cross"), 13, 2,
                               with_log=True)
     assert (res.kind, res.value, res.first_nonzero_degree) == \
         ("finite", 1, 13)
-    assert caps == [14] and blog.beta(13) % 13 != 0
-    # windows 4 and 10 fit in the law check's cap 12; 28 is extracted anew
+    assert caps == [13] and singles == [] and blog.beta(13) % 13 != 0
+    # beta_3 and beta_9 come from the extraction at the law check's cap 12,
+    # beta_27 on its own
     caps.clear()
     res = brauer_height(named_quartic("fermat-cross"), 3, 3)
     assert (res.kind, res.value) == ("at_least", 3)
-    assert caps == [12, 28]
+    assert caps == [12] and singles == [27]
+
+
+def test_beta_below_the_criterion_valuation_raises(monkeypatch):
+    # v_3(beta_27) = 1 < 3 - 1 would make v_3 non-integral: the law is not
+    # 3-integral, and the criterion does not guess a verdict
+    single = k3brauer.beta_coefficient
+    monkeypatch.setattr(k3brauer, "beta_coefficient",
+                        lambda f, m: 3 * 7 if m == 27 else single(f, m))
+    with pytest.raises(NonIntegral) as err:
+        brauer_height(named_quartic("fermat"), 3, 3)
+    assert err.value.degree == 27
+
+
+def test_law_spot_check_finds_a_denominator_off_the_degrees_p_n(
+        monkeypatch):
+    # l = T + T^6 / 6 puts -10/3 on X^3 Y^3 of the law; the criterion reads
+    # only beta_3 and beta_9 (both 0) and would say AtLeast(2), so the
+    # denominator is the law spot-check's to find
+    monkeypatch.setattr(
+        k3brauer, "stienstra_log",
+        lambda f, cap: k3brauer._log_from_betas(f, {1: 1, 6: 1}, cap))
+    with pytest.raises(NonIntegral):
+        brauer_height(named_quartic("fermat"), 3, 2)
 
 
 @pytest.mark.parametrize("p", [17, 19, 23, 29, 31, 37, 41, 43])
