@@ -204,6 +204,8 @@ def cmd_height(ns) -> int:
     primes = _parse_primes(ns.primes)
     if ns.hmax < 1:
         raise ValueError("--hmax must be >= 1")
+    if ns.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     cells = []
     for f in quartics:
         for p in primes:

@@ -2,7 +2,7 @@
 
 Provides the coefficient rings the series layer is generic over:
 
-* the rational field (gmpy2.mpq when available, fractions.Fraction otherwise),
+* the rational field, fractions.Fraction (named `rat` here),
 * residue rings Z/p^M for an odd prime p,
 * sparse multivariate polynomial rings truncated at a total degree.
 
@@ -30,19 +30,11 @@ from operator import add
 
 from .errors import DivisionFailure, NonIntegral, NotAUnit, RingMismatch
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    def rat(num=0, den=1):
-        """Exact rational from ints, a rational, or a 'num/den' string."""
-        return _mpq(num, den)
-
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    def rat(num=0, den=1):
-        return Fraction(num, den)
+# exact rational from ints, a rational, or a 'num/den' string
+rat = Fraction
 
 # the scalar types TruncPoly arithmetic treats as constant polynomials
-_SCALARS = (int, type(rat(0)), Fraction)
+_SCALARS = (int, Fraction)
 
 
 def is_prime(n: int) -> bool:
@@ -139,8 +131,8 @@ class RationalField:
     def coerce(self, x):
         if isinstance(x, int):
             return rat(x)
-        if isinstance(x, (type(self.zero), Fraction)):
-            return rat(x.numerator, x.denominator)
+        if isinstance(x, Fraction):
+            return x
         raise RingMismatch(f"cannot coerce {x!r} into QQ")
 
     def is_zero(self, a):
@@ -343,7 +335,7 @@ def reduce_mod(x, ring: ResidueRing) -> int:
     [0, p^M). Raises NonIntegral when val_p(x) < 0."""
     if isinstance(x, int):
         return x % ring.modulus
-    num, den = int(x.numerator), int(x.denominator)
+    num, den = x.numerator, x.denominator
     if den % ring.p == 0:
         raise NonIntegral(
             f"{x} is not {ring.p}-integral", value=x)
@@ -481,7 +473,8 @@ class TruncPoly:
 
 
 def _const_like(tp: TruncPoly, c) -> TruncPoly:
-    c = rat(c.numerator, c.denominator) if not isinstance(c, int) else rat(c)
+    if isinstance(c, int):
+        c = rat(c)
     return TruncPoly._make(tp.vars, tp.cap,
                            {(0,) * len(tp.vars): c} if c else {}, False)
 

@@ -257,11 +257,11 @@ class PSeries:
         """v_n = a_(p^n - 1), the coefficient of T^(p^n); v_0 = p."""
         return self.a(self.p.p ** n - 1)
 
-    def reduce(self, precision: int = 1) -> "PSeries":
-        """Image in the residue ring Z/p^M of the p-local base. Polynomial
+    def reduce(self) -> "PSeries":
+        """Image in the residue field Z/p of the p-local base. Polynomial
         coefficients are first checked p-integral termwise, then evaluated at
-        the closed point (parameters -> 0) and reduced mod p^M."""
-        rng = ResidueRing(self.p, precision)
+        the closed point (parameters -> 0) and reduced mod p."""
+        rng = ResidueRing(self.p)
         out = {}
         for (d,), c in sorted(self.series.coeffs.items()):
             if isinstance(c, TruncPoly):

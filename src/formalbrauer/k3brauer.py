@@ -109,14 +109,7 @@ class QuarticForm:
         return out
 
     def evaluate(self, point, mod: int) -> int:
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v *= pow(x, k, mod)
-            total += v
-        return total % mod
+        return _evaluate(self.terms, point, mod)
 
     def __eq__(self, other):
         if not isinstance(other, QuarticForm):
@@ -389,22 +382,25 @@ def smooth_check_fp(f: QuarticForm, p, budget: int = 13) -> bool:
     if q > budget:
         raise ValueError(
             f"smoothness enumeration budget is p <= {budget}, got {q}")
-    partials = [f.partial(i) for i in range(4)]
+    # f first: most points are off the surface
+    forms = [f.terms] + [f.partial(i) for i in range(4)]
     for pt in _projective_points(q):
-        if f.evaluate(pt, q):
-            continue
-        singular = True
-        for dd in partials:
-            total = 0
-            for e, c in dd.items():
-                v = c
-                for x, k in zip(pt, e):
-                    if k:
-                        v *= pow(x, k, q)
-                total += v
-            if total % q:
-                singular = False
+        for g in forms:
+            if _evaluate(g, pt, q):
                 break
-        if singular:
+        else:
             return False
     return True
+
+
+def _evaluate(terms: dict, point, mod: int) -> int:
+    """A sparse integer form {exponent tuple: coefficient} at point, mod
+    `mod`."""
+    total = 0
+    for e, c in terms.items():
+        v = c
+        for x, k in zip(point, e):
+            if k:
+                v *= pow(x, k, mod)
+        total += v
+    return total % mod

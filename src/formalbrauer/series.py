@@ -195,12 +195,17 @@ class Series:
         return Series(rng, self.vars, cap, out)
 
     def _pow_memo(self, n, memo):
+        """self^n, given memo of powers of self keyed by exponent: from
+        self^(n-1) when the memo has it, else by squaring self^(n//2)."""
         if n in memo:
             return memo[n]
-        half = self._pow_memo(n // 2, memo)
-        out = half.mul(half)
-        if n % 2:
-            out = out.mul(self)
+        if n - 1 in memo:
+            out = memo[n - 1].mul(self)
+        else:
+            half = self._pow_memo(n // 2, memo)
+            out = half.mul(half)
+            if n % 2:
+                out = out.mul(self)
         memo[n] = out
         return out
 
@@ -226,7 +231,8 @@ class Series:
         ks = [d for (d,) in self.coeffs if 1 <= d <= inner.cap]
         ks.sort()
         # each running power inner^k joins the memo, so a later gap that
-        # halves down to k reuses it: exponents 1, 3, 9, 27, 81 take 8 muls
+        # halves down to k or k + 1 reuses it: exponents 1, 3, 9, 27, 81
+        # take 8 muls, and 0, 2, 8, 26, 80 take 10
         memo = {1: inner}
         cur = None
         cur_k = 0

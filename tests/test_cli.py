@@ -158,6 +158,16 @@ def test_bad_quartic_file_is_a_usage_error(tmp_path, capsys):
     assert run(["height", "--quartic", str(qf), "--primes", "5"]) == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(jobs, capsys):
+    code = run(["height", "--quartic", "fermat", "--primes", "5",
+                "--jobs", jobs])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "--jobs must be >= 1" in err
+    assert out == ""
+
+
 def test_argparse_usage_problems_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["bogus-command"])

@@ -1,7 +1,12 @@
 """Exact coefficient arithmetic: rationals, residues, truncated polynomials."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -105,12 +110,35 @@ def test_multinomial_rejects_mismatched_total():
 
 def test_rational_field_basics():
     assert QQ.coerce(3) == rat(3)
+    x = rat(2, 3)
+    assert QQ.coerce(x) is x
     assert QQ.div_int(rat(3), 2) == rat(3, 2)
     assert QQ.is_unit(rat(-5, 7))
     assert not QQ.is_unit(rat(0))
     assert QQ.invert(rat(3, 4)) == rat(4, 3)
     with pytest.raises(NotAUnit):
         QQ.invert(rat(0))
+
+
+def test_rationals_are_fractions_even_with_gmpy2_importable(tmp_path):
+    # a gmpy2 whose mpq raises shadows any installed one, so a use of mpq
+    # at import or in a height fails the run
+    (tmp_path / "gmpy2.py").write_text(textwrap.dedent("""
+        def mpq(*args):
+            raise AssertionError("gmpy2.mpq used")
+    """))
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = textwrap.dedent("""
+        import fractions
+        import formalbrauer
+        from formalbrauer import BUILTIN_QUARTICS, brauer_height
+        assert type(formalbrauer.rat(1, 2)) is fractions.Fraction
+        print(brauer_height(BUILTIN_QUARTICS["fermat"], 5, 1))
+    """)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True,
+                         env={**os.environ, "PYTHONPATH": f"{tmp_path}:{src}"})
+    assert run.returncode == 0, run.stderr
 
 
 # ---------------------------------------------------------------------------

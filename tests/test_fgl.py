@@ -218,8 +218,10 @@ def test_height_guards():
     ps = p_series(law, Prime(3), 10)
     with pytest.raises(RingMismatch):
         height(ps, 1)                       # not reduced mod p
+    z9 = ResidueRing(Prime(3), 2)           # Z/9 is not a field
+    mod9 = Series.univariate(z9, 10, {1: 3, 2: 3, 3: 1})   # (1+T)^3 - 1
     with pytest.raises(RingMismatch):
-        height(ps.reduce(precision=2), 1)   # precision 2 is not a field
+        height(PSeries(Prime(3), mod9), 1)
     with pytest.raises(CapTooSmall):
         height(ps.reduce(), 3)              # cap 10 < 3^3
 

@@ -188,12 +188,8 @@ def test_hazewinkel_p_series_matches_frozen_coefficients_and_flags(case):
 # ---------------------------------------------------------------------------
 
 
-def test_compose_reuses_running_powers(monkeypatch):
-    cap = 82
-    outer = Series.univariate(QQ, cap, {3 ** i: rat(1, 3 ** i)
-                                        for i in range(5)})
-    inner = Series.univariate(QQ, cap, {1: 1, 2: rat(1, 3), 5: -2})
-    want = outer.subst([inner])             # Horner: one mul per degree
+def _compose_counting_muls(monkeypatch, outer, inner):
+    """outer.compose(inner) and the number of Series.mul calls it made."""
     calls = []
     mul = Series.mul
 
@@ -202,6 +198,30 @@ def test_compose_reuses_running_powers(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(Series, "mul", counting_mul)
-    got = outer.compose(inner)
-    assert len(calls) <= 8
+    return outer.compose(inner), len(calls)
+
+
+def test_compose_reuses_running_powers(monkeypatch):
+    cap = 82
+    outer = Series.univariate(QQ, cap, {3 ** i: rat(1, 3 ** i)
+                                        for i in range(5)})
+    inner = Series.univariate(QQ, cap, {1: 1, 2: rat(1, 3), 5: -2})
+    want = outer.subst([inner])             # Horner: one mul per degree
+    got, muls = _compose_counting_muls(monkeypatch, outer, inner)
+    assert muls <= 8
+    assert got == want
+
+
+def test_compose_builds_a_power_from_the_one_below(monkeypatch):
+    # the slope compose of Series.solve at cap 82: derivative exponents
+    # 0, 2, 8, 26, 80, so gaps 2, 6, 18, 54. x^3, x^9 and x^27 each take one
+    # mul from x^2, x^8 and x^26 in the memo, and the gaps cost 1, 3, 3, 3
+    # muls; halving x^3, x^9 and x^27 down again took 16
+    cap = 82
+    outer = Series.univariate(QQ, cap, {3 ** i - 1: rat(1, 3 ** i)
+                                        for i in range(5)})
+    inner = Series.univariate(QQ, cap, {1: 1, 2: rat(1, 3), 5: -2})
+    want = outer.subst([inner])
+    got, muls = _compose_counting_muls(monkeypatch, outer, inner)
+    assert muls <= 10
     assert got == want
