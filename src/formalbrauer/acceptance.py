@@ -26,7 +26,6 @@ from .fgl import (
 )
 from .k3brauer import (
     brauer_height,
-    fermat_log,
     named_quartic,
     power_diagonal,
     stienstra_log,
@@ -110,11 +109,12 @@ def check_fermat_dichotomy(profile: str):
 
 
 def check_stienstra_closed_form(profile: str):
-    """The corridor extraction reproduces the closed form for the Fermat
-    quartic coefficientwise, and the landmark values land exactly."""
+    """The corridor extraction reproduces the closed form stienstra_log takes
+    for the Fermat quartic coefficientwise, and the landmark values land
+    exactly."""
     cap = _caps(profile)["closed_form_cap"]
     f = named_quartic("fermat")
-    closed = fermat_log(cap)
+    closed = stienstra_log(f, cap)
     diag = power_diagonal(f, cap - 1)
     ok = closed.betas == {m: diag[m - 1] for m in range(1, cap + 1)
                           if diag[m - 1]}

@@ -10,10 +10,10 @@ Everything is exact. Heights and exactness verdicts downstream are detected by
 exact vanishing of coefficients, so no floating point appears anywhere.
 
 A coefficient ring is a plain object with the small method set the series
-layer calls: zero/one/from_int/coerce, is_zero/eq, add/sub/neg/mul, dot,
-div_int, is_unit/invert. Elements themselves carry the arithmetic operators
+layer calls: zero/one/from_int/coerce, is_zero/eq, dot, div_int,
+is_unit/invert. Elements themselves carry the arithmetic operators
 (rationals and TruncPoly natively, residues via a thin wrapper), so generic
-code can mix ring-method calls with infix arithmetic.
+code does its arithmetic infix.
 
 dot(pairs) is the sum of a*b over an iterable of (a, b) pairs, the inner
 loop of a series product. Each ring sums in its own way: rationals by a
@@ -140,18 +140,6 @@ class RationalField:
 
     def eq(self, a, b):
         return a == b
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def dot(self, pairs):
         s = self.zero
@@ -296,18 +284,6 @@ class ResidueRing:
 
     def eq(self, a, b):
         return self.coerce(a) == self.coerce(b)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def dot(self, pairs):
         return Residue(self, sum(a.v * b.v for a, b in pairs))
@@ -565,27 +541,15 @@ class TruncPolyRing:
             if x.vars != self.variables or x.cap != self.cap:
                 raise RingMismatch(f"{x.vars}/{x.cap} vs {self}")
             return x
-        if isinstance(x, int):
-            return self.from_int(x)
-        return self.from_rat(x)
+        if isinstance(x, _SCALARS):
+            return self.from_rat(x)
+        raise RingMismatch(f"cannot coerce {x!r} into {self}")
 
     def is_zero(self, a):
         return not a.terms
 
     def eq(self, a, b):
         return self.coerce(a) == self.coerce(b)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def dot(self, pairs):
         return _dot(self.variables, self.cap, pairs)

@@ -27,7 +27,6 @@ from .coefficients import (
     ResidueRing,
     TruncPoly,
     TruncPolyRing,
-    rat,
     reduce_mod,
     val_p,
 )
@@ -525,40 +524,31 @@ def _monomial_multiples(terms, monomials, cap):
 def ideal_contains(generators, x, p: Prime, ring) -> bool:
     """x in the ideal (generators) of the p-local base ring?
 
-    Over the plain p-local rationals the ideal is (p^v) for the minimal
-    valuation v among the generators, so membership is a valuation
-    comparison. Over a truncated polynomial base we solve for p-integral
-    cofactors: the columns are all monomial multiples of the generators
-    inside the degree cap.
+    The base is a truncated polynomial ring, and QQ stands for the one with
+    no parameters, the p-local integers. We solve for p-integral cofactors:
+    the columns are all monomial multiples of the generators inside the
+    degree cap (with no parameters, the generators themselves).
     """
     p = p if isinstance(p, Prime) else Prime(int(p))
     if isinstance(ring, RationalField):
-        if isinstance(x, int):
-            x = rat(x)
-        if not x:
-            return True
-        gens = [g for g in generators if g]
-        if not gens:
-            return False
-        vmin = min(val_p(g, p) for g in gens)
-        return val_p(x, p) >= vmin
-    if isinstance(ring, TruncPolyRing):
-        x = ring.coerce(x)
-        if not x.terms:
-            return True
-        cap = ring.cap
-        nv = len(ring.variables)
-        monomials = [e for e in itertools.product(range(cap + 1), repeat=nv)
-                     if sum(e) <= cap]
-        cols = []
-        for g in generators:
-            g = ring.coerce(g)
-            if g.terms:
-                cols.extend(_monomial_multiples(g.terms, monomials, cap))
-        if not cols:
-            return False
-        return _p_integral_solvable(cols, x.terms, p.p)
-    raise RingMismatch(f"no membership test over {ring}")
+        ring = TruncPolyRing((), 0)
+    if not isinstance(ring, TruncPolyRing):
+        raise RingMismatch(f"no membership test over {ring}")
+    x = ring.coerce(x)
+    if not x.terms:
+        return True
+    cap = ring.cap
+    nv = len(ring.variables)
+    monomials = [e for e in itertools.product(range(cap + 1), repeat=nv)
+                 if sum(e) <= cap]
+    cols = []
+    for g in generators:
+        g = ring.coerce(g)
+        if g.terms:
+            cols.extend(_monomial_multiples(g.terms, monomials, cap))
+    if not cols:
+        return False
+    return _p_integral_solvable(cols, x.terms, p.p)
 
 
 # ---------------------------------------------------------------------------

@@ -259,19 +259,6 @@ def stienstra_log(f: QuarticForm, cap: int) -> BrauerLog:
     return _log_from_betas(f, betas, cap)
 
 
-def fermat_log(cap: int) -> BrauerLog:
-    """Closed form for the Fermat quartic: l(T) = T + sum_{n>=1}
-    (4n)!/(n!)^4 * T^(4n+1)/(4n+1)."""
-    if cap < 1:
-        raise CapTooSmall("logarithm needs cap >= 1")
-    betas = {}
-    n = 0
-    while 4 * n + 1 <= cap:
-        betas[4 * n + 1] = multinomial(4 * n, (n, n, n, n))
-        n += 1
-    return _log_from_betas(BUILTIN_QUARTICS["fermat"], betas, cap)
-
-
 # ---------------------------------------------------------------------------
 # heights and ordinarity
 # ---------------------------------------------------------------------------

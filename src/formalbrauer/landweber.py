@@ -20,17 +20,11 @@ explicit torsion - and answers Unknown elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as _iproduct
 
 from . import __version__
-from .coefficients import (
-    QQ,
-    Prime,
-    TruncPoly,
-    TruncPolyRing,
-    rat,
-    val_p,
-)
+from .coefficients import QQ, Prime, TruncPoly, TruncPolyRing, val_p
 from .errors import (
     CapTooSmall,
     CertificationRefused,
@@ -80,22 +74,16 @@ class RingPresentation:
     def p(self) -> int:
         return self.prime.p
 
-    @property
-    def base_ring(self):
-        """Coefficient ring elements live in: rationals when parameter-free,
-        a truncated polynomial ring otherwise. p-locality is enforced by the
-        membership tests, not by the element arithmetic."""
-        if self.parameters:
-            return TruncPolyRing(self.parameters, self.cap)
-        return QQ
+    @cached_property
+    def base_ring(self) -> TruncPolyRing:
+        """The ring elements live in: Q[t_1..t_k] truncated at the cap. With
+        no parameters that is the constants, so the p-local integers are the
+        zero-parameter case and not a ring of their own. p-locality is
+        enforced by the membership tests, not by the element arithmetic."""
+        return TruncPolyRing(self.parameters, self.cap)
 
-    def coerce(self, x):
-        if isinstance(self.base_ring, TruncPolyRing):
-            return self.base_ring.coerce(x)
-        if isinstance(x, TruncPoly):
-            raise RingMismatch(
-                f"polynomial element in parameter-free presentation {self}")
-        return QQ.coerce(x)
+    def coerce(self, x) -> TruncPoly:
+        return self.base_ring.coerce(x)
 
     @property
     def torsion_free(self) -> bool:
@@ -103,11 +91,7 @@ class RingPresentation:
         accepted here. A relation whose smallest coefficient valuation is
         positive introduces p-torsion (p^k * rest = 0 with rest nonzero)."""
         for r in self.relations:
-            r = self.coerce(r)
-            if isinstance(r, TruncPoly):
-                vals = [val_p(c, self.prime) for c in r.terms.values()]
-            else:
-                vals = [val_p(r, self.prime)]
+            vals = [val_p(c, self.prime) for c in self.coerce(r).terms.values()]
             if vals and min(vals) > 0:
                 return False
         return True
@@ -168,17 +152,17 @@ def _contains(R: RingPresentation, gens, x) -> bool:
 
 
 def _is_unit_mod(R: RingPresentation, gens, x) -> bool:
-    one = R.base_ring.one if R.parameters else rat(1)
-    return _contains(R, list(gens) + [x], one)
+    return _contains(R, list(gens) + [x], R.base_ring.one)
 
 
 def _linear_fresh_parameter(R: RingPresentation, x: TruncPoly, consumed: set):
     """Name of a parameter whose linear coefficient in x is a p-unit and that
     no earlier element consumed; None when there is no such parameter."""
-    for i, t in enumerate(R.parameters):
+    names = R.base_ring.variables
+    for i, t in enumerate(names):
         if t in consumed:
             continue
-        e = tuple(1 if j == i else 0 for j in range(len(R.parameters)))
+        e = tuple(1 if j == i else 0 for j in range(len(names)))
         c = x.terms.get(e)
         if c is not None and val_p(c, R.prime) == 0:
             return t
@@ -187,36 +171,28 @@ def _linear_fresh_parameter(R: RingPresentation, x: TruncPoly, consumed: set):
 
 def _torsion_witness(R: RingPresentation, gens, x):
     """Search for nonzero y with x*y in (gens) and y itself outside (gens).
-    Candidates are p-powers times monomials up to half the cap. A witness is
-    only accepted when the product x*y did not hit the truncation boundary;
-    otherwise the vanishing could be an artifact of the window."""
-    p = R.p
-    if R.parameters:
-        ring = R.base_ring
-        half = R.cap // 2
-        exps = [e for e in _iproduct(range(half + 1), repeat=len(R.parameters))
-                if sum(e) <= half]
-        x = ring.coerce(x)
-        if getattr(x, "truncated", False):
-            return None  # the element's own tail is unknown; stay honest
-        for a in range(0, 4):
-            for e in exps:
-                y = ring.monomial(e, p ** a)
-                if _contains(R, gens, y):
-                    continue
-                prod = x * y
-                if prod.truncated:
-                    continue
-                if _contains(R, gens, prod):
-                    return y
-        return None
-    x = QQ.coerce(x)
-    for a in range(0, 7):
-        y = rat(p ** a)
-        if _contains(R, gens, y):
-            continue
-        if _contains(R, gens, x * y):
-            return y
+    Candidates are p^a (a <= 6, so Z_(p)/(p^k) gets its witness p^(k-1) for
+    every k <= 7) times monomials up to half the cap; with no parameters the
+    only monomial is 1. A witness is only accepted when the product x*y did
+    not hit the truncation boundary; otherwise the vanishing could be an
+    artifact of the window."""
+    ring = R.base_ring
+    half = R.cap // 2
+    exps = [e for e in _iproduct(range(half + 1), repeat=len(ring.variables))
+            if sum(e) <= half]
+    x = ring.coerce(x)
+    if x.truncated:
+        return None  # the element's own tail is unknown; stay honest
+    for a in range(7):
+        for e in exps:
+            y = ring.monomial(e, R.p ** a)
+            if _contains(R, gens, y):
+                continue
+            prod = x * y
+            if prod.truncated:
+                continue
+            if _contains(R, gens, prod):
+                return y
     return None
 
 
@@ -227,7 +203,8 @@ def check_regular_sequence(R: RingPresentation, elems) -> list:
       * anything congruent to 0: zerodivisor (witness 1);
       * units modulo the earlier ideal: Unit;
       * nonzero constants on relation-free presentations: Regular
-        (multiplication by a nonzero scalar is injective on a free module);
+        (multiplication by a nonzero scalar is injective on a free module;
+        with no parameters every element is a constant);
       * elements whose linear part holds a fresh parameter with p-unit
         coefficient, when everything earlier was of these shapes: Regular
         (a coordinate change makes the element that parameter);
@@ -238,7 +215,7 @@ def check_regular_sequence(R: RingPresentation, elems) -> list:
     gens = [R.coerce(r) for r in R.relations]
     consumed: set = set()
     shapes_ok = True  # all earlier elements within the certified shapes
-    one = R.base_ring.one if R.parameters else rat(1)
+    one = R.base_ring.one
     if _contains(R, gens, one):
         return [RegularityVerdict("unknown", str(R.coerce(x)),
                                   reason="presentation collapses to the zero ring")
@@ -256,16 +233,11 @@ def check_regular_sequence(R: RingPresentation, elems) -> list:
                 "unit", label,
                 reason="1 lies in the ideal generated by this element and "
                        "its predecessors"))
-        elif not R.parameters and not R.relations:
-            # nonzero rational constant on the p-local integers
+        elif not R.relations and x.total_degree() == 0:
+            base = "free polynomial" if R.parameters else "torsion-free"
             verdicts.append(RegularityVerdict(
-                "regular", label,
-                reason="nonzero scalar on a torsion-free base"))
-        elif R.parameters and not R.relations and x.total_degree() == 0:
-            verdicts.append(RegularityVerdict(
-                "regular", label,
-                reason="nonzero scalar on a free polynomial base"))
-        elif (R.parameters and not R.relations and shapes_ok
+                "regular", label, reason=f"nonzero scalar on a {base} base"))
+        elif (not R.relations and shapes_ok
               and (t := _linear_fresh_parameter(R, x, consumed)) is not None):
             consumed.add(t)
             verdicts.append(RegularityVerdict(
@@ -371,27 +343,18 @@ def landweber_check(R: RingPresentation, source, h_max: int,
     # integrality enforced degree by degree through the deciding window
     ps, h = escalating_height(source, p, h_max, cap)
 
-    report = LandweberReport(p=p, ring=R, closed_fibre_height=h)
+    chain = landweber_chain(ps, h.value)
+    verdicts = check_regular_sequence(R, chain.vs)
+    report = LandweberReport(p=p, ring=R, closed_fibre_height=h, vs=chain.vs,
+                             chain_generators=chain.generators,
+                             verdicts=verdicts)
     if not h.is_finite:
-        n_top = h.value
-        chain = landweber_chain(ps, n_top)
-        report.vs = chain.vs
-        report.chain_generators = chain.generators
-        report.verdicts = check_regular_sequence(
-            R, [chain.vs[0]] + [chain.vs[n] for n in range(1, n_top + 1)])
-        report.verdict = "inconclusive"
         report.reason = (
             f"closed-fibre height exceeds h_max = {h_max} within cap {cap} "
             f"(candidate supersingular; no unit v_n observed in the window)")
         return report
 
     n_stab = h.value
-    chain = landweber_chain(ps, n_stab)
-    report.vs = chain.vs
-    report.chain_generators = chain.generators
-    seq = [chain.vs[0]] + [chain.vs[n] for n in range(1, n_stab + 1)]
-    verdicts = check_regular_sequence(R, seq)
-    report.verdicts = verdicts
     bad = next((v for v in verdicts if v.status == "zerodivisor"), None)
     if bad is not None:
         report.verdict = "not_exact"
@@ -407,7 +370,6 @@ def landweber_check(R: RingPresentation, source, h_max: int,
                          if n_stab > 1 else "p regular and v_1 a unit")
         return report
     unknown = next((v for v in verdicts if v.status == "unknown"), None)
-    report.verdict = "inconclusive"
     report.reason = (unknown.reason if unknown is not None else
                      "verdict pattern does not match regular* unit: "
                      + ", ".join(v.status for v in verdicts))

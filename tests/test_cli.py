@@ -13,6 +13,7 @@ from formalbrauer.k3brauer import beta_coefficient, named_quartic
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "rational_fermat.json"
 HEIGHT_GRID_PATH = Path(__file__).parent / "golden" / "height_grid.json"
+LANDWEBER_PATH = Path(__file__).parent / "golden" / "landweber_reports.json"
 
 
 def run(argv):
@@ -128,6 +129,25 @@ def test_height_reads_quartic_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["rows"][0]["quartic"] == "mine"
+
+
+# ---------------------------------------------------------------------------
+# landweber and certify
+# ---------------------------------------------------------------------------
+
+
+LANDWEBER_REPORTS = json.loads(LANDWEBER_PATH.read_text())
+
+
+@pytest.mark.parametrize("label", sorted(LANDWEBER_REPORTS))
+def test_landweber_reports_match_frozen_output(label, capsys):
+    # `landweber` and `certify --ring zp` under --no-timestamp, frozen when
+    # Z_(p) elements were plain rationals; as constant polynomials they must
+    # print the same bytes, refusals (exit 3, report on stderr) included
+    cell = LANDWEBER_REPORTS[label]
+    code = run(cell["argv"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (cell["exit"], cell["stdout"], cell["stderr"])
 
 
 # ---------------------------------------------------------------------------

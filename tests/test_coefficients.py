@@ -256,6 +256,18 @@ def test_truncpoly_ring_coerce_and_monomial():
         R.coerce(other.var("u"))
 
 
+@pytest.mark.parametrize("bad", [1.5, "abc", None, Residue(ResidueRing(3), 1)],
+                         ids=["float", "str", "none", "residue"])
+@pytest.mark.parametrize("ring", [QQ, TruncPolyRing(("t",), 4),
+                                  TruncPolyRing((), 8)],
+                         ids=["QQ", "t-cap4", "no-parameters"])
+def test_coerce_rejects_non_rationals(ring, bad):
+    # a float, a string or None is never silently a constant, in any ring
+    # a presentation's elements can live in
+    with pytest.raises(RingMismatch):
+        ring.coerce(bad)
+
+
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=3),
                           st.integers(min_value=-4, max_value=4)),
                 min_size=1, max_size=5),

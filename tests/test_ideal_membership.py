@@ -7,10 +7,10 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from formalbrauer import cli, fgl
-from formalbrauer.coefficients import Prime, TruncPolyRing, rat, val_p
+from formalbrauer.coefficients import QQ, Prime, TruncPolyRing, rat, val_p
 from formalbrauer.fgl import hazewinkel_log, ideal_contains, p_series
 from formalbrauer.landweber import RingPresentation, landweber_check
 
@@ -145,6 +145,46 @@ def test_empty_columns_and_zero_target():
     assert not fgl._p_integral_solvable([{}, {0: rat(3)}], {1: rat(1)}, 3)
     assert not fgl._p_integral_solvable([{0: rat(3)}], {0: rat(1)}, 3)
     assert fgl._p_integral_solvable([{0: rat(1, 3)}], {0: rat(1)}, 3)
+
+
+def valuation_contains(generators, x, p: int) -> bool:
+    """The oracle over the p-local integers: a nonzero ideal of Z_(p) is
+    (p^v) for the least valuation v among its generators, so x lies in it
+    iff x = 0 or val_p(x) >= v."""
+    if not x:
+        return True
+    gens = [g for g in generators if g]
+    return bool(gens) and val_p(x, p) >= min(val_p(g, p) for g in gens)
+
+
+@st.composite
+def p_local_rationals(draw, p):
+    """u/w * p^k with k in -2..3, and zero now and then."""
+    if draw(st.integers(0, 5)) == 0:
+        return rat(0)
+    k = draw(st.integers(-2, 3))
+    return rat(_unit(draw, p, 40) * p ** max(k, 0),
+               _unit(draw, p, 9) * p ** max(-k, 0))
+
+
+@st.composite
+def rational_memberships(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    gens = draw(st.lists(p_local_rationals(p), max_size=4))
+    return p, gens, draw(p_local_rationals(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_memberships())
+@example((3, [], rat(0)))
+@example((3, [rat(0), rat(0)], rat(0)))
+@example((3, [], rat(1)))
+@example((3, [rat(0)], rat(1, 3)))
+@example((3, [rat(9), rat(3, 2)], rat(6)))
+@example((3, [rat(9)], rat(5, 3)))
+def test_rational_membership_matches_valuation_oracle(case):
+    p, gens, x = case
+    assert ideal_contains(gens, x, p, QQ) == valuation_contains(gens, x, p)
 
 
 def test_cancellation_raises_a_cached_valuation():

@@ -40,7 +40,9 @@ def test_zp_presentation_shape():
     assert R.parameters == ()
     assert R.torsion_free
     assert repr(R) == "Z_(5)"
-    assert R.base_ring == QQ
+    # the p-local integers are the zero-parameter polynomial ring
+    assert R.base_ring == TruncPolyRing((), 8)
+    assert R.base_ring is R.base_ring
 
 
 def test_torsion_free_detection():
@@ -53,6 +55,12 @@ def test_torsion_free_detection():
     t = R.base_ring.var("t")
     assert RingPresentation(Prime(3), ("t",), 8, (t,)).torsion_free
     assert not RingPresentation(Prime(3), ("t",), 8, (t * 3,)).torsion_free
+
+
+def test_zero_relation_is_torsion_free():
+    # (0) adds nothing: Z_(3)/(0) is Z_(3), with or without parameters
+    assert RingPresentation(Prime(3), (), 8, (0,)).torsion_free
+    assert RingPresentation(Prime(3), ("t",), 8, (0,)).torsion_free
 
 
 def test_coerce_guards_parameter_free():
@@ -88,6 +96,15 @@ def test_regular_sequence_torsion_witness():
     verdicts = check_regular_sequence(R, [3])
     assert verdicts[0].status == "zerodivisor"
     assert verdicts[0].witness == "3"       # 3 * 3 = 9 = 0, yet 3 != 0
+
+
+@pytest.mark.parametrize("params", [(), ("t",)], ids=["Z_(3)", "Z_(3)[t]"])
+def test_torsion_search_reach(params):
+    # 3 * 81 = 243 = 0 while 81 != 0; with or without parameters the search
+    # tries p^a up to a = 6
+    R = RingPresentation(Prime(3), params, 8, (243,))
+    [v] = check_regular_sequence(R, [3])
+    assert (v.status, v.witness) == ("zerodivisor", "81")
 
 
 def test_regular_sequence_unit_detection():
