@@ -183,7 +183,7 @@ def _height_cell(args):
     """One (quartic, prime) grid cell; top level so worker pools can run it."""
     f, p, h_max, cap = args
     start = perf_counter()
-    # the log's cap is at least p^h_max >= p, so it already holds beta_p
+    # brauer_height reads beta_p first and records it in the returned log
     result, blog = brauer_height(f, p, h_max, cap=cap, with_log=True)
     beta_p = blog.beta(p) % p
     wall_ms = int((perf_counter() - start) * 1000)

@@ -6,21 +6,29 @@ presentation: with
 
     beta_m = coefficient of (T0 T1 T2 T3)^(m-1) in f^(m-1),
 
-the logarithm is l(T) = sum_m beta_m T^m / m, and beta_1 = 1 always. For the
-Fermat quartic the betas collapse to the closed form (4n)!/(n!)^4 in degree
-4n+1 and vanish elsewhere; for a general quartic they are extracted from the
-expanded powers of f.
+the logarithm is l(T) = sum_m beta_m T^m / m, and beta_1 = 1 always. A single
+beta_m comes from BetaExtractor, which enumerates the multiplicities of the
+monomials of f that reach (T0 T1 T2 T3)^(m-1) and solves for the last four by
+one 4x4 integer system; for a diagonal quartic that is one lattice point,
+(m-1)/4 each, when 4 divides m - 1. The corridor pass power_diagonal expands
+f^j for every j < m at once; it serves stienstra_log on nondiagonal quartics,
+and beta_coefficient falls back to it when its counted cost is lower (dense
+quartics, exponent vectors of rank < 4).
 
 Everything downstream (mod-p heights, the ordinarity test beta_p mod p,
 exactness certificates) consumes the logarithm built here. A height is the
 least n with v_p(beta_(p^n)) = n - 1, the p-typical criterion brauer_height
 documents: it reads the betas in the degrees p^n only and builds no p-series.
+It extracts the logarithm through min(LAW_CAP, cap), for the law spot-check,
+and takes each beta_(p^n) as a single beta above that.
 A bound that decides nothing is reported as a lower bound, never as
 infinity. The p-series over QQ, reduced mod p, stays as the criterion's test
 oracle and as the route exactness reports take, which need the exact v_n.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .coefficients import Prime, multinomial, rat, val_p
 from .errors import CapTooSmall, NonIntegral
@@ -88,15 +96,6 @@ class QuarticForm:
 
     def is_diagonal(self) -> bool:
         return all(max(e) == 4 for e in self.terms)
-
-    def diagonal(self):
-        """(a, b, c, d) for a*T0^4 + b*T1^4 + c*T2^4 + d*T3^4."""
-        if not self.is_diagonal():
-            raise ValueError(f"{self.name} is not diagonal")
-        out = [0, 0, 0, 0]
-        for e, c in self.terms.items():
-            out[e.index(4)] = c
-        return tuple(out)
 
     def partial(self, i: int) -> dict:
         """d f / d T_i as a sparse cubic: exponent 4-tuples -> int."""
@@ -196,28 +195,184 @@ def power_diagonal(f: QuarticForm, n_max: int) -> list:
     return out
 
 
-def beta_coefficient(f: QuarticForm, m: int) -> int:
-    """beta_m = coefficient of (T0 T1 T2 T3)^(m-1) in f^(m-1).
+def _adjugate4(B):
+    """(adj(B), det(B)) of a 4x4 integer matrix, so adj(B) B = det(B) I.
+    Laplace expansion by complementary minors: s_k are the 2x2 minors of the
+    top two rows, c_k those of the bottom two."""
+    ((a00, a01, a02, a03), (a10, a11, a12, a13),
+     (a20, a21, a22, a23), (a30, a31, a32, a33)) = B
+    s0, s1 = a00 * a11 - a10 * a01, a00 * a12 - a10 * a02
+    s2, s3 = a00 * a13 - a10 * a03, a01 * a12 - a11 * a02
+    s4, s5 = a01 * a13 - a11 * a03, a02 * a13 - a12 * a03
+    c0, c1 = a20 * a31 - a30 * a21, a20 * a32 - a30 * a22
+    c2, c3 = a20 * a33 - a30 * a23, a21 * a32 - a31 * a22
+    c4, c5 = a21 * a33 - a31 * a23, a22 * a33 - a32 * a23
+    det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+    adj = [[a11 * c5 - a12 * c4 + a13 * c3, -a01 * c5 + a02 * c4 - a03 * c3,
+            a31 * s5 - a32 * s4 + a33 * s3, -a21 * s5 + a22 * s4 - a23 * s3],
+           [-a10 * c5 + a12 * c2 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1,
+            -a30 * s5 + a32 * s2 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1],
+           [a10 * c4 - a11 * c2 + a13 * c0, -a00 * c4 + a01 * c2 - a03 * c0,
+            a30 * s4 - a31 * s2 + a33 * s0, -a20 * s4 + a21 * s2 - a23 * s0],
+           [-a10 * c3 + a11 * c1 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0,
+            -a30 * s3 + a31 * s1 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0]]
+    return adj, det
 
-    Diagonal quartics take the closed form multinomial(4n; n,n,n,n) *
-    (abcd)^n in degree m = 4n+1 (zero elsewhere); every other quartic takes
-    the corridor pass power_diagonal, which is also how the closed form gets
-    cross-checked.
+
+def _independent_four(monos):
+    """Indices of the first four entries of `monos` whose exponent vectors
+    are linearly independent, or None when they span less than rank 4.
+    Each vector is reduced, fraction-free, against the pivots taken so far;
+    a later pivot row is already zero in every earlier pivot column."""
+    pivots, chosen = [], []
+    for k, (e, _) in enumerate(monos):
+        v = list(e)
+        for col, row in pivots:
+            if v[col]:
+                v = [row[col] * a - v[col] * b for a, b in zip(v, row)]
+        col = next((i for i, a in enumerate(v) if a), None)
+        if col is not None:
+            pivots.append((col, v))
+            chosen.append(k)
+            if len(chosen) == 4:
+                return chosen
+    return None
+
+
+class BetaExtractor:
+    """Single betas of one quartic, by enumerating monomial multiplicities.
+
+    With N = m - 1, beta_m is the sum, over multiplicities a >= 0 of the
+    monomials c_k T^(e_k) of f with sum_k a_k e_k = (N, N, N, N), of
+    multinomial(N; a) * prod_k c_k^(a_k). Four monomials with linearly
+    independent exponent vectors form the basis B; the multiplicities of
+    the others, the free monomials, are enumerated, and the residual r
+    fixes the basis multiplicities x = adj(B) r / det(B), which count only
+    when integral and nonnegative. A diagonal quartic has no free monomial:
+    its one point is x = (N/4, ..., N/4), there when 4 | N. In general, with
+    no free monomial the one candidate N adj(B) (1, 1, 1, 1) / det(B) is
+    integral exactly when `period` divides N, so beta_m = 0 otherwise is
+    read off without a walk; with free monomials `period` is 1.
+
+    The basis is taken greedily from the monomials of smallest largest
+    exponent, so the free ones are those with the fewest multiplicities to
+    visit; over the linear matroid this greedy choice minimises the box
+    bound route() counts. The setup (basis, adjugate, determinant, free
+    monomials) depends on f alone and is shared by every m one extractor
+    serves.
     """
-    if m < 1:
-        raise ValueError("beta index starts at 1")
-    if not f.is_diagonal():
-        return power_diagonal(f, m - 1)[m - 1]
-    if (m - 1) % 4:
-        return 0
-    n = (m - 1) // 4
-    a, b, c, d = f.diagonal()
-    return multinomial(4 * n, (n, n, n, n)) * (a * b * c * d) ** n
+
+    __slots__ = ("f", "basis", "free", "det", "period", "_target", "_steps",
+                 "_basis_c")
+
+    def __init__(self, f: QuarticForm):
+        self.f = f
+        monos = sorted(f.terms.items(), key=lambda t: (max(t[0]), t[0]))
+        chosen = _independent_four(monos)
+        if chosen is None:
+            self.basis, self.free, self.det, self.period = None, monos, 0, 1
+            return
+        self.basis = [monos[k] for k in chosen]
+        self.free = [t for k, t in enumerate(monos) if k not in chosen]
+        # B has the basis exponent vectors as columns; the signs are
+        # arranged so that det > 0
+        adj, det = _adjugate4(list(zip(*(e for e, _ in self.basis))))
+        if det < 0:
+            adj, det = [[-a for a in row] for row in adj], -det
+        self.det = det
+        self._basis_c = [c for _, c in self.basis]
+        # det * x = adj r is tracked along the walk: adj (1, 1, 1, 1) per
+        # unit of N, less adj e for each free monomial placed
+        self._target = tuple(sum(row) for row in adj)
+        self.period = 1 if self.free else det // gcd(det, *self._target)
+        self._steps = [(e, c, tuple(sum(a * k for a, k in zip(row, e))
+                                    for row in adj))
+                       for e, c in self.free]
+
+    def costs(self, m: int):
+        """(enumeration, corridor) work for beta_m, counted from f and m
+        before any is done. The enumeration visits at most
+        prod_free (N // max(e) + 1) lattice points (None when the exponent
+        vectors have rank < 4); the corridor (power_diagonal) makes at most
+        r (N + 1)^4 state extensions for the r monomials of f: N steps of
+        at most (N + 1)^3 states, each a vector with entries in [0, N] and
+        a fixed sum."""
+        n = m - 1
+        corridor = len(self.f.terms) * (n + 1) ** 4
+        if self.basis is None:
+            return None, corridor
+        points = 1
+        for e, _ in self.free:
+            points *= n // max(e) + 1
+        return points, corridor
+
+    def route(self, m: int) -> str:
+        """"enumerate" or "corridor": the route whose counted cost is
+        lower (ties enumerate)."""
+        points, corridor = self.costs(m)
+        return "corridor" if points is None or points > corridor else "enumerate"
+
+    def beta(self, m: int) -> int:
+        if m < 1:
+            raise ValueError("beta index starts at 1")
+        if (m - 1) % self.period:
+            return 0
+        if self.route(m) == "corridor":
+            return power_diagonal(self.f, m - 1)[m - 1]
+        return self._enumerate(m - 1)
+
+    def _enumerate(self, n: int) -> int:
+        """The coefficient of (T0 T1 T2 T3)^n in f^n, by the enumeration."""
+        det, steps, basis_c = self.det, self._steps, self._basis_c
+        u0, u1, u2, u3 = self._target
+
+        def walk(k, rem, y, parts, weight):
+            # rem: the target less the free monomials placed so far; y:
+            # adj rem = det * (basis multiplicities); parts: the free
+            # multiplicities; weight: prod c^a over them
+            if k == len(steps):
+                y0, y1, y2, y3 = y
+                if (y0 < 0 or y1 < 0 or y2 < 0 or y3 < 0 or y0 % det
+                        or y1 % det or y2 % det or y3 % det):
+                    return 0
+                xs = (y0 // det, y1 // det, y2 // det, y3 // det)
+                for x, c in zip(xs, basis_c):
+                    if c != 1:
+                        weight *= c ** x
+                return multinomial(n, parts + xs) * weight
+            (e0, e1, e2, e3), c, (w0, w1, w2, w3) = steps[k]
+            total, a = 0, 0
+            while rem[0] >= 0 and rem[1] >= 0 and rem[2] >= 0 and rem[3] >= 0:
+                total += walk(k + 1, rem, y, parts + (a,), weight)
+                rem = (rem[0] - e0, rem[1] - e1, rem[2] - e2, rem[3] - e3)
+                y = (y[0] - w0, y[1] - w1, y[2] - w2, y[3] - w3)
+                a += 1
+                weight *= c
+            return total
+
+        return walk(0, (n, n, n, n), (n * u0, n * u1, n * u2, n * u3), (), 1)
+
+
+def beta_coefficients(f: QuarticForm, ms):
+    """Yield beta_m for each m of ms, in order and only as asked for, from
+    one BetaExtractor: the per-quartic setup is built once per call."""
+    ex = BetaExtractor(f)
+    for m in ms:
+        yield ex.beta(m)
+
+
+def beta_coefficient(f: QuarticForm, m: int) -> int:
+    """beta_m = coefficient of (T0 T1 T2 T3)^(m-1) in f^(m-1), by
+    BetaExtractor: the multiplicity enumeration, or the corridor pass
+    power_diagonal where its counted cost is lower."""
+    return next(beta_coefficients(f, (m,)))
 
 
 class BrauerLog:
     """The logarithm sum beta_m T^m / m of a quartic's formal group, together
-    with the integer betas it was built from. beta_1 = 1 always."""
+    with the integer betas it was built from. beta_1 = 1 always. `betas`
+    may also hold single betas read above the cap (zeros included), as
+    brauer_height records the beta_(p^n) it reads."""
 
     __slots__ = ("log", "source", "betas")
 
@@ -233,7 +388,7 @@ class BrauerLog:
         return self.log.cap
 
     def beta(self, m: int) -> int:
-        if m > self.cap:
+        if m > self.cap and m not in self.betas:
             raise CapTooSmall(f"beta_{m} beyond cap {self.cap}")
         return self.betas.get(m, 0)
 
@@ -246,12 +401,17 @@ def _log_from_betas(f: QuarticForm, betas: dict, cap: int) -> BrauerLog:
 
 
 def stienstra_log(f: QuarticForm, cap: int) -> BrauerLog:
-    """Logarithm of the formal Brauer group of f, truncated at `cap`: the
-    closed form for diagonal quartics, one corridor pass otherwise."""
+    """Logarithm of the formal Brauer group of f, truncated at `cap`. A
+    diagonal quartic takes every beta from one BetaExtractor, where each is
+    a single lattice point or none; any other quartic takes one corridor
+    pass (power_diagonal), which serves every degree at once and keeps the
+    QQ route that tests the height criterion independent of the
+    extractor."""
     if cap < 1:
         raise CapTooSmall("logarithm needs cap >= 1")
     if f.is_diagonal():
-        betas = {m: beta_coefficient(f, m) for m in range(1, cap + 1, 4)}
+        ms = range(1, cap + 1)
+        betas = dict(zip(ms, beta_coefficients(f, ms)))
     else:
         diag = power_diagonal(f, cap - 1)
         betas = {m: diag[m - 1] for m in range(1, cap + 1)}
@@ -291,9 +451,12 @@ def brauer_height(f: QuarticForm, p, h_max: int, cap: int | None = None,
     denominators are looked for only in the degrees p^n; the p-series over
     QQ (fgl.escalating_height) would look in every degree of its window.
 
-    The betas are extracted once, through max(min(LAW_CAP, cap), p); any
-    beta_(p^n) above that comes from beta_coefficient. With with_log, the
-    BrauerLog of that extraction is returned as well; it holds beta_p.
+    The logarithm is extracted through min(LAW_CAP, cap) only, the degrees
+    the law spot-check reads. Every beta_(p^n) read, beta_p included, comes
+    from one beta_coefficients call, so the multiplicity enumeration serves
+    them from one setup and computes none past the deciding n. With
+    with_log, that BrauerLog is returned as well, its betas extended by the
+    beta_(p^n) read above its cap; it holds beta_p.
     """
     p = p if isinstance(p, Prime) else Prime(int(p))
     if h_max < 1:
@@ -307,13 +470,15 @@ def brauer_height(f: QuarticForm, p, h_max: int, cap: int | None = None,
         raise CapTooSmall(
             f"cap {cap} < p^h_max = {p.p ** h_max}; the verdict window is empty")
     lc = min(cap, LAW_CAP)
-    blog = stienstra_log(f, max(lc, p.p))
-    if lc >= 2:
-        fgl_from_log(blog.log, lc, integral_at=p)
+    blog = stienstra_log(f, lc)
+    fgl_from_log(blog.log, lc, integral_at=p)
+    qs = [p.p]
+    while qs[-1] * p.p <= cap:
+        qs.append(qs[-1] * p.p)
     result = HeightResult("at_least", h_max)
-    n, q = 1, p.p
-    while q <= cap:
-        beta = blog.beta(q) if q <= blog.cap else beta_coefficient(f, q)
+    for n, (q, beta) in enumerate(zip(qs, beta_coefficients(f, qs)), start=1):
+        if q > blog.cap:
+            blog.betas[q] = beta
         v = val_p(beta, p)
         if v < n - 1:
             raise NonIntegral(
@@ -322,7 +487,6 @@ def brauer_height(f: QuarticForm, p, h_max: int, cap: int | None = None,
         if v == n - 1:
             result = HeightResult("finite", n, first_nonzero_degree=q)
             break
-        n, q = n + 1, q * p.p
     return (result, blog) if with_log else result
 
 

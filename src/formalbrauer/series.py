@@ -39,6 +39,18 @@ class Series:
                 clean[e] = c
         self.coeffs = clean
 
+    @classmethod
+    def _make(cls, ring, vars, cap, coeffs):
+        """A result built inside the package: `vars` is a tuple and `coeffs`
+        holds only nonzero coefficients of in-range exponents of the right
+        arity, so nothing is checked again."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.vars = vars
+        out.cap = cap
+        out.coeffs = coeffs
+        return out
+
     # ----- constructors -------------------------------------------------
 
     @classmethod
@@ -147,21 +159,23 @@ class Series:
                     out[e] = s
             else:
                 out[e] = c
-        return Series(rng, self.vars, self.cap, out)
+        return Series._make(rng, self.vars, self.cap, out)
 
     def neg(self):
-        return Series(self.ring, self.vars, self.cap,
-                      {e: -c for e, c in self.coeffs.items()})
+        return Series._make(self.ring, self.vars, self.cap,
+                            {e: -c for e, c in self.coeffs.items()})
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scalar_mul(self, c):
-        c = self.ring.coerce(c)
-        if self.ring.is_zero(c):
-            return Series.zero(self.ring, self.cap, self.vars)
-        return Series(self.ring, self.vars, self.cap,
-                      {e: v * c for e, v in self.coeffs.items()})
+        rng = self.ring
+        c = rng.coerce(c)
+        # a product of nonzero coefficients can vanish (residues mod p^M,
+        # truncated polynomials), so the zeros are dropped here
+        return Series._make(rng, self.vars, self.cap,
+                            {e: x for e, v in self.coeffs.items()
+                             if not rng.is_zero(x := v * c)})
 
     # ----- multiplication -------------------------------------------------
 
@@ -192,7 +206,7 @@ class Series:
             c = rng.dot(ps)
             if not rng.is_zero(c):
                 out[e] = c
-        return Series(rng, self.vars, cap, out)
+        return Series._make(rng, self.vars, cap, out)
 
     def _pow_memo(self, n, memo):
         """self^n, given memo of powers of self keyed by exponent: from
@@ -224,10 +238,10 @@ class Series:
         # the composite is exact only through the smaller cap
         if inner.cap > self.cap:
             inner = inner.truncate(self.cap)
-        out = Series.zero(self.ring, inner.cap, inner.vars)
         c0 = self.constant_coeff()
-        if not self.ring.is_zero(c0):
-            out = out.add(Series.constant(self.ring, inner.cap, c0, inner.vars))
+        out = Series._make(self.ring, inner.vars, inner.cap,
+                           {} if self.ring.is_zero(c0)
+                           else {(0,) * len(inner.vars): c0})
         ks = [d for (d,) in self.coeffs if 1 <= d <= inner.cap]
         ks.sort()
         # each running power inner^k joins the memo, so a later gap that
@@ -319,11 +333,12 @@ class Series:
 
     def derivative(self):
         self._need_univariate()
+        rng = self.ring
         out = {}
         for (d,), c in self.coeffs.items():
-            if d >= 1:
-                out[(d - 1,)] = c * d
-        return Series(self.ring, self.vars, self.cap, out)
+            if d >= 1 and not rng.is_zero(x := c * d):
+                out[(d - 1,)] = x
+        return Series._make(rng, self.vars, self.cap, out)
 
     def integral(self, cap=None):
         """Termwise antiderivative with zero constant. An integrand exact

@@ -16,7 +16,6 @@ from formalbrauer.coefficients import (
     Prime,
     Residue,
     ResidueRing,
-    TruncPoly,
     TruncPolyRing,
     is_prime,
     multinomial,

@@ -5,7 +5,6 @@ import pytest
 from formalbrauer.coefficients import (
     QQ,
     Prime,
-    Residue,
     ResidueRing,
     TruncPolyRing,
     rat,

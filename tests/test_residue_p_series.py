@@ -113,39 +113,44 @@ def test_brauer_height_builds_no_p_series_over_qq(monkeypatch):
 def test_brauer_height_extracts_the_log_through_the_deciding_window(
         monkeypatch):
     caps, singles = [], []
-    extract, single = k3brauer.stienstra_log, k3brauer.beta_coefficient
+    extract, single = k3brauer.stienstra_log, k3brauer.beta_coefficients
 
     def recording(f, cap):
         caps.append(cap)
         return extract(f, cap)
 
-    def recording_single(f, m):
-        singles.append(m)
-        return single(f, m)
+    def recording_single(f, ms):
+        # record each beta as it is pulled, so that betas past the deciding
+        # degree, never computed, are not recorded either
+        for m, b in zip(ms, single(f, ms)):
+            singles.append(m)
+            yield b
 
     monkeypatch.setattr(k3brauer, "stienstra_log", recording)
-    monkeypatch.setattr(k3brauer, "beta_coefficient", recording_single)
-    # one extraction through p = 13, which decides; the law spot-check
-    # reads its first 12 degrees
+    monkeypatch.setattr(k3brauer, "beta_coefficients", recording_single)
+    # the log only through the law check's cap 12; beta_13, which decides,
+    # is a single beta, and beta_169 is never computed
     res, blog = brauer_height(named_quartic("fermat-cross"), 13, 2,
                               with_log=True)
     assert (res.kind, res.value, res.first_nonzero_degree) == \
         ("finite", 1, 13)
-    assert caps == [13] and singles == [] and blog.beta(13) % 13 != 0
-    # beta_3 and beta_9 come from the extraction at the law check's cap 12,
-    # beta_27 on its own
+    assert caps == [12] and singles == [13] and blog.beta(13) % 13 != 0
+    # every beta_(3^n) is a single beta, those below the cap included
     caps.clear()
+    singles.clear()
     res = brauer_height(named_quartic("fermat-cross"), 3, 3)
     assert (res.kind, res.value) == ("at_least", 3)
-    assert caps == [12] and singles == [27]
+    assert caps == [12] and singles == [3, 9, 27]
 
 
 def test_beta_below_the_criterion_valuation_raises(monkeypatch):
     # v_3(beta_27) = 1 < 3 - 1 would make v_3 non-integral: the law is not
     # 3-integral, and the criterion does not guess a verdict
-    single = k3brauer.beta_coefficient
-    monkeypatch.setattr(k3brauer, "beta_coefficient",
-                        lambda f, m: 3 * 7 if m == 27 else single(f, m))
+    single = k3brauer.beta_coefficients
+    monkeypatch.setattr(
+        k3brauer, "beta_coefficients",
+        lambda f, ms: (3 * 7 if m == 27 else b
+                       for m, b in zip(ms, single(f, ms))))
     with pytest.raises(NonIntegral) as err:
         brauer_height(named_quartic("fermat"), 3, 3)
     assert err.value.degree == 27

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from formalbrauer.coefficients import QQ, TruncPolyRing, rat
+from formalbrauer.coefficients import QQ, Prime, ResidueRing, TruncPolyRing, rat
 from formalbrauer.errors import CapTooSmall, NotAUnit, RingMismatch
 from formalbrauer.series import Series
 
@@ -36,6 +36,25 @@ def test_zero_coefficients_are_never_stored():
     assert s.degrees() == [1]
     t = _uni({1: 1}).sub(_uni({1: 1}))
     assert t.is_zero()
+
+
+def test_public_constructor_still_validates():
+    # arithmetic builds its results unchecked (Series._make); the public
+    # constructor keeps its arity, cap and zero checks
+    with pytest.raises(RingMismatch):
+        Series(QQ, ("X", "Y"), 4, {(1,): rat(1)})
+    with pytest.raises(ValueError, match="above cap"):
+        Series(QQ, ("T",), 4, {(5,): rat(1)})
+    assert Series(QQ, ("T",), 4, {(2,): rat(0)}).is_zero()
+
+
+def test_products_that_vanish_are_dropped():
+    # over Z/9, 3 * 3 = 0, and d/dT of 3 T^3 is 9 T^2 = 0: neither zero
+    # may be stored
+    z9 = ResidueRing(Prime(3), 2)
+    s = Series.univariate(z9, 6, {1: 1, 3: 3})
+    assert s.scalar_mul(3).coeffs == {(1,): z9.coerce(3)}
+    assert s.derivative().coeffs == {(0,): z9.one}
 
 
 def test_truncate_drops_and_with_cap_raises_only():
