@@ -16,9 +16,12 @@ is_unit/invert. Elements themselves carry the arithmetic operators
 code does its arithmetic infix.
 
 dot(pairs) is the sum of a*b over an iterable of (a, b) pairs, the inner
-loop of a series product. Each ring sums in its own way: rationals by a
-running sum, residues as plain ints reduced mod p^M once, truncated
-polynomials into one term dict that becomes one TruncPoly at the end.
+loop of a series product. Each ring sums in its own way: rationals as one
+integer numerator over the lcm of the product denominators, normalised to a
+Fraction once at the end; residues as plain ints reduced mod p^M once;
+truncated polynomials into one term dict, each monomial's sum kept as a
+numerator over a common denominator in the same way, that becomes one
+TruncPoly at the end.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import add
 
 from .errors import DivisionFailure, NonIntegral, NotAUnit, RingMismatch
@@ -142,10 +146,22 @@ class RationalField:
         return a == b
 
     def dot(self, pairs):
-        s = self.zero
+        """The sum of a*b over pairs of ints or rationals, as one canonical
+        Fraction. The sum runs as an integer numerator over the lcm of the
+        product denominators, so the only gcd per product is the one that
+        widens that denominator, and the Fraction is normalised once at the
+        end (Knuth, TAOCP Vol. 2, 4.5.1)."""
+        num, den = 0, 1
         for a, b in pairs:
-            s += a * b
-        return s
+            n = a.numerator * b.numerator
+            d = a.denominator * b.denominator
+            if d != den:
+                g = gcd(den, d)
+                num *= d // g
+                n *= den // g
+                den *= d // g
+            num += n
+        return Fraction(num, den)
 
     def div_int(self, a, n: int):
         if n == 0:
@@ -461,6 +477,8 @@ def _dot(vars, cap, pairs) -> TruncPoly:
     dropped, and the result is `truncated` when that happened or when an
     operand was truncated: the same value and flag as summing the products
     one by one."""
+    # out[e] is [numerator, denominator] of the running sum at monomial e,
+    # kept over the lcm of its product denominators as in RationalField.dot
     out = {}
     get = out.get
     truncated = False
@@ -472,16 +490,31 @@ def _dot(vars, cap, pairs) -> TruncPoly:
                 f"in ({vars}, cap {cap})")
         if a.truncated or b.truncated:
             truncated = True
-        bterms = [(e, sum(e), c) for e, c in b.terms.items()]
+        bterms = [(e, sum(e), c.numerator, c.denominator)
+                  for e, c in b.terms.items()]
         for e1, c1 in a.terms.items():
             room = cap - sum(e1)
-            for e2, d2, c2 in bterms:
-                if d2 > room:
+            n1, d1 = c1.numerator, c1.denominator
+            for e2, deg2, n2, d2 in bterms:
+                if deg2 > room:
                     truncated = True
                     continue
                 e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-    return TruncPoly._make(vars, cap, {e: c for e, c in out.items() if c},
+                n, d = n1 * n2, d1 * d2
+                acc = get(e)
+                if acc is None:
+                    out[e] = [n, d]
+                    continue
+                den = acc[1]
+                if d != den:
+                    g = gcd(den, d)
+                    acc[0] *= d // g
+                    n *= den // g
+                    acc[1] = den * (d // g)
+                acc[0] += n
+    return TruncPoly._make(vars, cap,
+                           {e: Fraction(n, d) for e, (n, d) in out.items()
+                            if n},
                            truncated)
 
 

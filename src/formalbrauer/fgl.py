@@ -116,10 +116,10 @@ class FormalGroupLaw:
         cap = self.cap
         XYZ = ("X", "Y", "Z")
         x = Series.variable(rng, cap, "X", XYZ)
-        y = Series.variable(rng, cap, "Y", XYZ)
         z = Series.variable(rng, cap, "Z", XYZ)
-        fxy = self.F.subst([x, y])
-        fyz = self.F.subst([y, z])
+        # substituting bare variables is a relabelling
+        fxy = self.F.remap(XYZ)
+        fyz = self.F.remap(XYZ, {"X": "Y", "Y": "Z"})
         left = self.F.subst([fxy, z])
         right = self.F.subst([x, fyz])
         return left == right

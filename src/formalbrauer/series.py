@@ -223,6 +223,44 @@ class Series:
         memo[n] = out
         return out
 
+    def _powers(self, ks, memo):
+        """(k, self^k) for the ascending positive exponents ks, taken from
+        or added to memo (which holds self at 1). A power the memo lacks is
+        the running power times self^gap, and each running power joins the
+        memo, so a later gap that halves down to k or k + 1 reuses it:
+        exponents 1, 3, 9, 27, 81 take 8 muls, and 2, 8, 26, 80 take 10."""
+        cur = None
+        cur_k = 0
+        for k in ks:
+            if k in memo:
+                cur = memo[k]
+            else:
+                step = self._pow_memo(k - cur_k, memo)
+                cur = step if cur is None else cur.mul(step)
+                memo[k] = cur
+            cur_k = k
+            yield k, cur
+
+    def _power_sum(self, coeffs, memo):
+        """sum of c * self^k over the {k: c} of coeffs (k = 0 allowed), with
+        the powers from memo. Each output coefficient is summed in one
+        ring.dot call."""
+        rng = self.ring
+        pairs = {}
+        c0 = coeffs.get(0)
+        if c0 is not None:
+            pairs[(0,) * len(self.vars)] = [(c0, rng.one)]
+        for k, pk in self._powers(sorted(k for k in coeffs if k), memo):
+            c = coeffs[k]
+            for e, x in pk.coeffs.items():
+                pairs.setdefault(e, []).append((c, x))
+        out = {}
+        for e, ps in pairs.items():
+            v = rng.dot(ps)
+            if not rng.is_zero(v):
+                out[e] = v
+        return Series._make(rng, self.vars, self.cap, out)
+
     # ----- composition and substitution -----------------------------------
 
     def compose(self, inner):
@@ -238,29 +276,20 @@ class Series:
         # the composite is exact only through the smaller cap
         if inner.cap > self.cap:
             inner = inner.truncate(self.cap)
-        c0 = self.constant_coeff()
-        out = Series._make(self.ring, inner.vars, inner.cap,
-                           {} if self.ring.is_zero(c0)
-                           else {(0,) * len(inner.vars): c0})
-        ks = [d for (d,) in self.coeffs if 1 <= d <= inner.cap]
-        ks.sort()
-        # each running power inner^k joins the memo, so a later gap that
-        # halves down to k or k + 1 reuses it: exponents 1, 3, 9, 27, 81
-        # take 8 muls, and 0, 2, 8, 26, 80 take 10
-        memo = {1: inner}
-        cur = None
-        cur_k = 0
-        for k in ks:
-            step = inner._pow_memo(k - cur_k, memo)
-            cur = step if cur is None else cur.mul(step)
-            memo.setdefault(k, cur)
-            cur_k = k
-            out = out.add(cur.scalar_mul(self.coeffs[(k,)]))
-        return out
+        return inner._power_sum({d: c for (d,), c in self.coeffs.items()
+                                 if d <= inner.cap}, {1: inner})
 
     def subst(self, repls):
         """Substitute one series per variable of self. All replacement series
-        share ring, variables and cap, and have zero constant term."""
+        share ring, variables and cap, and have zero constant term.
+
+        The terms are grouped by the exponent j of the last variable; each
+        group is substituted into the other variables the same way, and the
+        groups' values are multiplied by r^j and summed, r the last
+        replacement. Every power of every replacement comes from one memo
+        per replacement, shared by all groups, so r^j is built once however
+        many groups need it. A term of degree above the replacements' cap
+        maps to valuation above the cap and is skipped."""
         repls = list(repls)
         if len(repls) != len(self.vars):
             raise RingMismatch(f"{len(self.vars)} variables, {len(repls)} replacements")
@@ -275,33 +304,25 @@ class Series:
             raise CapTooSmall(
                 f"substituting into a cap-{self.cap} series cannot be exact "
                 f"through cap {tpl.cap}")
+        memos = [{1: r} for r in repls]
 
-        def horner(terms, depth):
-            # terms: dict of exponent tuples of length depth+1
-            if not terms:
-                return Series.zero(tpl.ring, tpl.cap, tpl.vars)
-            if depth == 0:
-                by_deg = {e[0]: c for e, c in terms.items()}
-            else:
-                grouped = {}
-                for e, c in terms.items():
-                    grouped.setdefault(e[-1], {})[e[:-1]] = c
-                by_deg = {j: horner(sub, depth - 1) for j, sub in grouped.items()}
+        def value(terms, depth):
+            # terms: {exponent tuple of length depth + 1: coefficient}
             r = repls[depth]
-            jmax = max(by_deg)
-            acc = None
-            for j in range(jmax, -1, -1):
-                if acc is not None:
-                    acc = acc.mul(r)
-                piece = by_deg.get(j)
-                if piece is None:
-                    continue
-                if depth == 0:
-                    piece = Series.constant(tpl.ring, tpl.cap, piece, tpl.vars)
-                acc = piece if acc is None else acc.add(piece)
-            return acc if acc is not None else Series.zero(tpl.ring, tpl.cap, tpl.vars)
+            if depth == 0:
+                return r._power_sum({e[0]: c for e, c in terms.items()},
+                                    memos[0])
+            grouped = {}
+            for e, c in terms.items():
+                grouped.setdefault(e[-1], {})[e[:-1]] = c
+            out = (value(grouped.pop(0), depth - 1) if 0 in grouped
+                   else Series.zero(tpl.ring, tpl.cap, tpl.vars))
+            for j, rj in r._powers(sorted(grouped), memos[depth]):
+                out = out.add(value(grouped[j], depth - 1).mul(rj))
+            return out
 
-        return horner(self.coeffs, len(self.vars) - 1)
+        return value({e: c for e, c in self.coeffs.items()
+                      if sum(e) <= tpl.cap}, len(self.vars) - 1)
 
     def remap(self, new_vars, assignment=None):
         """Move to a new variable tuple; assignment maps old names to new
@@ -383,16 +404,9 @@ class Series:
         support = sorted(d for (d,) in self.coeffs if d >= 1)
         out = {0: inv0}
         for n in range(1, self.cap + 1):
-            s = None
-            for k in support:
-                if k > n:
-                    break
-                prev = out.get(n - k)
-                if prev is None:
-                    continue
-                term = self.coeffs[(k,)] * prev
-                s = term if s is None else s + term
-            if s is not None and not rng.is_zero(s):
+            s = rng.dot((self.coeffs[(k,)], out[n - k]) for k in support
+                        if k <= n and n - k in out)
+            if not rng.is_zero(s):
                 out[n] = -(inv0 * s)
         return Series(rng, self.vars, self.cap,
                       {(d,): c for d, c in out.items() if not rng.is_zero(c)})

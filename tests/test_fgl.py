@@ -75,6 +75,64 @@ def test_nonassociative_candidate_is_rejected():
     assert not bad.is_associative()
 
 
+def _xy(ring, cap):
+    return (Series.variable(ring, cap, "X", ("X", "Y")),
+            Series.variable(ring, cap, "Y", ("X", "Y")))
+
+
+def _symmetric(ring, cap, a, b):
+    """X^a Y^b + X^b Y^a at the given cap."""
+    return Series(ring, ("X", "Y"), cap,
+                  {(a, b): ring.one, (b, a): ring.one})
+
+
+@pytest.mark.parametrize("ring", [QQ, ResidueRing(Prime(7))],
+                         ids=["QQ", "Z/7"])
+@pytest.mark.parametrize("base", ["additive", "multiplicative"])
+def test_associativity_defect_at_the_cap_is_caught(ring, base):
+    # X^5 Y + X Y^5 is not a multiple of the degree-6 symmetric 2-cocycle
+    # ((X+Y)^6 - X^6 - Y^6), so adding it to a law breaks associativity in
+    # degree 6 and in no lower degree
+    cap = 6
+    law = standard_law(base, ring, cap)
+    bad = FormalGroupLaw(law.F.add(_symmetric(ring, cap, 5, 1)))
+    assert bad.is_commutative()
+    assert not bad.is_associative()
+    assert FormalGroupLaw(bad.F.truncate(cap - 1)).is_associative()
+
+
+@pytest.mark.parametrize("ring", [QQ, ResidueRing(Prime(7))],
+                         ids=["QQ", "Z/7"])
+def test_associativity_defect_below_the_cap_is_caught(ring):
+    # over the additive law the defect of X + Y + X^4 Y + X Y^4 is the
+    # cocycle defect of X^4 Y + X Y^4, in degree 5 only (its second-order
+    # terms start in degree 9)
+    cap = 6
+    x, y = _xy(ring, cap)
+    bad = FormalGroupLaw(x.add(y).add(_symmetric(ring, cap, 4, 1)))
+    assert bad.is_commutative()
+    assert not bad.is_associative()
+    assert FormalGroupLaw(bad.F.truncate(cap - 2)).is_associative()
+
+
+def test_law_with_terms_at_the_cap_passes_both_checks():
+    # the control for the two tests above: a law from a logarithm has terms
+    # in degree cap, and dropping them on either side would break the check
+    law = fgl_from_log(_log({1: 1, 2: rat(1, 2), 3: rat(-1, 3),
+                             5: rat(2, 5)}, 6), 6)
+    assert any(sum(e) == 6 for e in law.F.coeffs)
+    assert law.is_commutative() and law.is_associative()
+
+
+def test_commutativity_defect_at_the_cap_is_caught():
+    cap = 6
+    x, y = _xy(QQ, cap)
+    skew = FormalGroupLaw(x.add(y).add(
+        Series(QQ, ("X", "Y"), cap, {(5, 1): rat(1)})))
+    assert not skew.is_commutative()
+    assert FormalGroupLaw(skew.F.truncate(cap - 1)).is_commutative()
+
+
 # ---------------------------------------------------------------------------
 # logarithm <-> law
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
-"""Products of series: ring.dot on every coefficient ring, and compose.
+"""Products of series: ring.dot on every coefficient ring, compose and subst.
 
 Before ring.dot, TruncPoly multiplication was the pairwise loop kept below
 as `_pairwise_mul`, and a series product summed the products one by one
 with `+`. That route lives here only, as the oracle TruncPolyRing.dot is
-checked against, terms and `truncated` flag alike.
+checked against, terms and `truncated` flag alike. Two more routes the
+package replaced live here as oracles: QQ.dot once summed a running
+`Fraction` (`_running_fraction_sum`), and Series.subst was a nested Horner
+scheme that re-multiplied by each replacement per group (`_horner_subst`).
 """
 
 import functools
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,7 +26,7 @@ from formalbrauer.coefficients import (
     TruncPolyRing,
     rat,
 )
-from formalbrauer.errors import RingMismatch
+from formalbrauer.errors import CapTooSmall, RingMismatch
 from formalbrauer.fgl import hazewinkel_log, p_series
 from formalbrauer.series import Series
 
@@ -54,6 +59,61 @@ def _pairwise_dot(ring, pairs):
     for a, b in pairs:
         acc = acc + _pairwise_mul(a, b)
     return acc
+
+
+def _running_fraction_sum(pairs):
+    """QQ.dot as it was before the common-denominator kernel."""
+    s = rat(0)
+    for a, b in pairs:
+        s += a * b
+    return s
+
+
+def _horner_subst(self, repls):
+    """Series.subst as it was before the power tables: substitute one
+    series per variable of self by nested Horner. All replacement series
+    share ring, variables and cap, and have zero constant term."""
+    repls = list(repls)
+    if len(repls) != len(self.vars):
+        raise RingMismatch(f"{len(self.vars)} variables, {len(repls)} replacements")
+    tpl = repls[0]
+    for r in repls:
+        tpl._match(r)
+        if not self.ring.is_zero(r.constant_coeff()):
+            raise ValueError("replacement series must have zero constant term")
+    if tpl.ring != self.ring:
+        raise RingMismatch("replacements over a different ring")
+    if self.cap < tpl.cap:
+        raise CapTooSmall(
+            f"substituting into a cap-{self.cap} series cannot be exact "
+            f"through cap {tpl.cap}")
+
+    def horner(terms, depth):
+        # terms: dict of exponent tuples of length depth+1
+        if not terms:
+            return Series.zero(tpl.ring, tpl.cap, tpl.vars)
+        if depth == 0:
+            by_deg = {e[0]: c for e, c in terms.items()}
+        else:
+            grouped = {}
+            for e, c in terms.items():
+                grouped.setdefault(e[-1], {})[e[:-1]] = c
+            by_deg = {j: horner(sub, depth - 1) for j, sub in grouped.items()}
+        r = repls[depth]
+        jmax = max(by_deg)
+        acc = None
+        for j in range(jmax, -1, -1):
+            if acc is not None:
+                acc = acc.mul(r)
+            piece = by_deg.get(j)
+            if piece is None:
+                continue
+            if depth == 0:
+                piece = Series.constant(tpl.ring, tpl.cap, piece, tpl.vars)
+            acc = piece if acc is None else acc.add(piece)
+        return acc if acc is not None else Series.zero(tpl.ring, tpl.cap, tpl.vars)
+
+    return horner(self.coeffs, len(self.vars) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +207,49 @@ def test_residue_dot_is_the_sum_of_products(p, precision, ints):
     assert got.ring == rng and got.v == want.v
 
 
+@st.composite
+def _rational_pairs(draw):
+    """Pairs of ints and rationals, some with denominators that are large
+    powers of p, sometimes followed by their negatives so that the whole sum
+    cancels to 0."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    rationals = st.builds(
+        rat, st.integers(min_value=-10**6, max_value=10**6),
+        st.builds(lambda k, u: p ** k * u, st.integers(min_value=0,
+                                                       max_value=40),
+                  st.sampled_from([1, 2, 4, 6])))
+    operand = st.one_of(st.integers(min_value=-10**6, max_value=10**6),
+                        rationals)
+    pairs = draw(st.lists(st.tuples(operand, operand), max_size=8))
+    if draw(st.booleans()):
+        pairs += [(-a, b) for a, b in pairs]
+    return draw(st.permutations(pairs))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.fractions(max_denominator=50),
-                          st.fractions(max_denominator=50)), max_size=6))
-def test_rational_dot_is_the_sum_of_products(fracs):
-    pairs = [(QQ.coerce(a), QQ.coerce(b)) for a, b in fracs]
+@given(_rational_pairs())
+def test_rational_dot_is_the_sum_of_products(pairs):
     got = QQ.dot(pairs)
-    assert got == sum((a * b for a, b in pairs), rat(0))
-    assert type(got) is type(rat(0))
+    want = _running_fraction_sum(pairs)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator,
+                                                want.denominator)
+    assert got.denominator > 0
+    assert math.gcd(got.numerator, got.denominator) == 1
+    assert hash(got) == hash(want)
+
+
+def test_rational_dot_frozen_cases():
+    assert type(QQ.dot([])) is Fraction and QQ.dot([]) == 0
+    assert QQ.dot([(3, rat(1, 3)), (rat(1, 2), 4)]) == 3
+    assert QQ.dot([(rat(1, 9), rat(9, 2)), (rat(-1, 6), 3)]) == 0
+    assert QQ.dot([(rat(1, 3 ** 30), 1), (rat(2, 3 ** 31), 3)]) == rat(
+        1, 3 ** 29)
+    # a constant TruncPoly built by the kernel still equals and hashes
+    # like its constant
+    R = TruncPolyRing(("t",), 3)
+    one = R.dot([(R.one * 3, R.from_rat(rat(1, 3)))])
+    assert one == R.one and len({one, R.one, 1}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +283,8 @@ def test_hazewinkel_p_series_matches_frozen_coefficients_and_flags(case):
 # ---------------------------------------------------------------------------
 
 
-def _compose_counting_muls(monkeypatch, outer, inner):
-    """outer.compose(inner) and the number of Series.mul calls it made."""
+def _counting_muls(monkeypatch, fn, *args):
+    """fn(*args) and the number of Series.mul calls it made."""
     calls = []
     mul = Series.mul
 
@@ -198,7 +293,10 @@ def _compose_counting_muls(monkeypatch, outer, inner):
         return mul(self, other)
 
     monkeypatch.setattr(Series, "mul", counting_mul)
-    return outer.compose(inner), len(calls)
+    try:
+        return fn(*args), len(calls)
+    finally:
+        monkeypatch.setattr(Series, "mul", mul)
 
 
 def test_compose_reuses_running_powers(monkeypatch):
@@ -206,8 +304,8 @@ def test_compose_reuses_running_powers(monkeypatch):
     outer = Series.univariate(QQ, cap, {3 ** i: rat(1, 3 ** i)
                                         for i in range(5)})
     inner = Series.univariate(QQ, cap, {1: 1, 2: rat(1, 3), 5: -2})
-    want = outer.subst([inner])             # Horner: one mul per degree
-    got, muls = _compose_counting_muls(monkeypatch, outer, inner)
+    want = _horner_subst(outer, [inner])    # Horner: one mul per degree
+    got, muls = _counting_muls(monkeypatch, outer.compose, inner)
     assert muls <= 8
     assert got == want
 
@@ -221,7 +319,89 @@ def test_compose_builds_a_power_from_the_one_below(monkeypatch):
     outer = Series.univariate(QQ, cap, {3 ** i - 1: rat(1, 3 ** i)
                                         for i in range(5)})
     inner = Series.univariate(QQ, cap, {1: 1, 2: rat(1, 3), 5: -2})
-    want = outer.subst([inner])
-    got, muls = _compose_counting_muls(monkeypatch, outer, inner)
+    want = _horner_subst(outer, [inner])
+    got, muls = _counting_muls(monkeypatch, outer.compose, inner)
     assert muls <= 10
     assert got == want
+    # subst builds its powers the same way
+    got, muls = _counting_muls(monkeypatch, outer.subst, [inner])
+    assert muls <= 10
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# subst against the Horner route
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _subst_cases(draw):
+    """(outer, replacements) over QQ, Z/p^M or Q[t]<=deg 2: an outer series
+    in 1-3 variables that may have a constant term and has a term exactly at
+    its cap, which may sit above the replacements' cap; replacements in 1-3
+    variables, some of them monomials or zero."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    kind = draw(st.sampled_from(["QQ", "residue", "poly"]))
+    small = st.integers(min_value=-9, max_value=9)
+    if kind == "QQ":
+        ring = QQ
+        coeff = st.builds(rat, small, st.sampled_from([1, 2, p, p * p]))
+    elif kind == "residue":
+        ring = ResidueRing(Prime(p), draw(st.integers(min_value=1,
+                                                      max_value=3)))
+        coeff = st.builds(ring.from_int, small)
+    else:
+        ring = TruncPolyRing(("t",), 2)
+        coeff = st.builds(
+            lambda cs: TruncPoly(("t",), 2, {(d,): c
+                                             for d, c in enumerate(cs)}),
+            st.lists(st.builds(rat, small, st.sampled_from([1, p])),
+                     min_size=1, max_size=3))
+
+    def exponent(nvars, lo, hi):
+        deg = draw(st.integers(min_value=lo, max_value=hi))
+        cuts = sorted(draw(st.integers(min_value=0, max_value=deg))
+                      for _ in range(nvars - 1))
+        return tuple(b - a for a, b in zip([0] + cuts, cuts + [deg]))
+
+    m = draw(st.integers(min_value=1, max_value=3))
+    rvars = ("X", "Y", "Z")[:m]
+    rcap = draw(st.integers(min_value=1, max_value=4))
+
+    def replacement():
+        if draw(st.booleans()):
+            terms = {exponent(m, 1, rcap): draw(coeff)}      # a monomial
+        else:
+            terms = {exponent(m, 1, rcap): draw(coeff)
+                     for _ in range(draw(st.integers(min_value=0,
+                                                     max_value=3)))}
+        return Series(ring, rvars, rcap, terms)
+
+    k = draw(st.integers(min_value=1, max_value=3))
+    ocap = rcap + draw(st.integers(min_value=0, max_value=2))
+    terms = {exponent(k, 0, ocap): draw(coeff)
+             for _ in range(draw(st.integers(min_value=0, max_value=5)))}
+    terms[exponent(k, ocap, ocap)] = draw(coeff)
+    if draw(st.booleans()):
+        terms[(0,) * k] = draw(coeff)
+    outer = Series(ring, ("A", "B", "C")[:k], ocap, terms)
+    return outer, [replacement() for _ in range(k)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_subst_cases())
+def test_subst_matches_horner(case):
+    outer, repls = case
+    assert outer.subst(repls) == _horner_subst(outer, repls)
+
+
+def test_subst_refusals_match_horner():
+    x = Series.variable(QQ, 3, "X")
+    outer = Series.univariate(QQ, 2, {1: 1, 2: 1})
+    for subst in (outer.subst, functools.partial(_horner_subst, outer)):
+        with pytest.raises(CapTooSmall):
+            subst([x])
+        with pytest.raises(ValueError):
+            subst([Series.univariate(QQ, 2, {0: 1, 1: 1})])
+        with pytest.raises(RingMismatch):
+            subst([x, x])
