@@ -26,10 +26,10 @@ from .fgl import (
     elliptic_fgl,
     elliptic_ss_oracle,
     fgl_from_log,
+    hazewinkel_generators,
     hazewinkel_log,
     height,
     ideal_contains,
-    landweber_chain,
     log_from_fgl,
     p_series,
     standard_law,
@@ -62,7 +62,7 @@ __all__ = [
     "SmoothnessCheckFailed", "CertificationRefused",
     "Logarithm", "FormalGroupLaw", "PSeries", "HeightResult",
     "standard_law", "fgl_from_log", "log_from_fgl", "p_series", "height",
-    "landweber_chain", "ideal_contains", "hazewinkel_log",
+    "ideal_contains", "hazewinkel_log", "hazewinkel_generators",
     "elliptic_fgl", "count_points", "elliptic_ss_oracle",
     "QuarticForm", "BUILTIN_QUARTICS", "named_quartic", "beta_coefficient",
     "stienstra_log", "brauer_height", "ordinarity_criterion",

@@ -88,7 +88,7 @@ def _caps(profile: str) -> dict:
 def check_fermat_dichotomy(profile: str):
     """Fermat heights split on p mod 4: Finite(1) when p = 1 (4), a height
     lower bound of 2 when p = 3 (4), and for p = 3 the bound climbs to 3 at
-    a cap past 27."""
+    h_max 3."""
     ordinary, super_candidates = _caps(profile)["dichotomy_primes"]
     f = named_quartic("fermat")
     rows = []
@@ -104,9 +104,9 @@ def check_fermat_dichotomy(profile: str):
         ok = ok and good
         rows.append(f"p={p}: {r.describe()}")
     if profile == "default":
-        r = brauer_height(f, 3, 3, cap=28)
+        r = brauer_height(f, 3, 3)
         ok = ok and (not r.is_finite) and r.value == 3
-        rows.append(f"p=3 cap 28: {r.describe()}")
+        rows.append(f"p=3 h_max 3: {r.describe()}")
     return ok, "; ".join(rows)
 
 
@@ -269,7 +269,9 @@ def check_coordinate_independence(profile: str):
 
 
 def check_landweber_scenarios(profile: str):
-    """The three built-in exactness scenarios land on their verdicts."""
+    """The three built-in exactness scenarios land on their verdicts, and at
+    each n up to the closed-fibre height the report's ideal
+    (p, v_1, ..., v_n) equals the p-series ideal (a_0, ..., a_(p^n - 1))."""
     del profile
     expected = {
         "zp-multiplicative": ("exact", ["regular", "unit"], 1),
@@ -284,6 +286,12 @@ def check_landweber_scenarios(profile: str):
         statuses = [v.status for v in rep.verdicts]
         good = (rep.verdict == want_verdict and statuses == want_statuses
                 and rep.stabilization == want_stab)
+        ps = p_series(src, Prime(3), 3 ** h_max + 1)
+        good = good and all(
+            _mutually_contained(rep.vs[:n + 1],
+                                [ps.a(i) for i in range(3 ** n)],
+                                Prime(3), ps.ring)
+            for n in range(len(rep.vs)))
         if name == "torsion" and good:
             witness = next(v.witness for v in rep.verdicts
                            if v.status == "zerodivisor")

@@ -29,7 +29,12 @@ from . import __version__
 from .acceptance import CHECKS, run_checks
 from .coefficients import QQ, Prime, is_prime
 from .errors import CapTooSmall, CertificationRefused, NonIntegral
-from .k3brauer import QuarticForm, brauer_height, named_quartic
+from .k3brauer import (
+    QuarticForm,
+    beta_coefficient,
+    brauer_height,
+    named_quartic,
+)
 from .landweber import (
     SCENARIOS,
     builtin_scenario,
@@ -76,8 +81,6 @@ def _build_parser() -> _Parser:
                     help="comma-separated odd primes, e.g. 5,13")
     hp.add_argument("--hmax", type=int, default=1,
                     help="height bound to certify up to (default 1)")
-    hp.add_argument("--cap", type=int, default=None,
-                    help="series cap override (auto-raised to p^hmax when low)")
     hp.add_argument("--format", choices=("json", "csv", "text"),
                     default="text")
     hp.add_argument("--jobs", type=int, default=1,
@@ -181,11 +184,10 @@ def _timestamp(suppress: bool) -> str | None:
 
 def _height_cell(args):
     """One (quartic, prime) grid cell; top level so worker pools can run it."""
-    f, p, h_max, cap = args
+    f, p, h_max = args
     start = perf_counter()
-    # brauer_height reads beta_p first and records it in the returned log
-    result, blog = brauer_height(f, p, h_max, cap=cap, with_log=True)
-    beta_p = blog.beta(p) % p
+    result = brauer_height(f, p, h_max)
+    beta_p = beta_coefficient(f, p) % p
     wall_ms = int((perf_counter() - start) * 1000)
     return {
         "quartic": f.name,
@@ -206,17 +208,7 @@ def cmd_height(ns) -> int:
         raise ValueError("--hmax must be >= 1")
     if ns.jobs < 1:
         raise ValueError("--jobs must be >= 1")
-    cells = []
-    for f in quartics:
-        for p in primes:
-            cap = ns.cap
-            need = p ** ns.hmax
-            if cap is not None and cap < need:
-                sys.stderr.write(
-                    f"notice: cap {cap} below p^hmax = {need} for p={p}; "
-                    f"raising to {need}\n")
-                cap = need
-            cells.append((f, p, ns.hmax, cap))
+    cells = [(f, p, ns.hmax) for f in quartics for p in primes]
     if ns.jobs > 1:
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
             rows = list(pool.map(_height_cell, cells))

@@ -3,21 +3,21 @@
 A law is a bivariate series F(X, Y) with F(X, 0) = X, F(0, Y) = Y,
 commutative and associative up to the truncation cap. Over a Q-algebra every
 law has a logarithm l with F = l^{-1}(l(X) + l(Y)); conversely a logarithm
-determines a law. The multiplication-by-p series [p](T) carries the
-arithmetic content: over a field of characteristic p its first nonzero
-coefficient sits in degree p^h and h is the height.
+determines a law.
 
-Coefficient indexing for p-series follows [p](T) = a_0 T + a_1 T^2 + ...,
-i.e. a_i multiplies T^(i+1) and a_0 = p. The distinguished elements are
-v_n = a_(p^n - 1), the coefficient of T^(p^n), and the ideals
-I_(p,n) = (a_0, ..., a_(p^(n-1) - 1)) generated by the first p^(n-1)
-coefficients satisfy I_(p,n+1) = I_(p,n) + (v_n).
+Over a p-local base the arithmetic invariants are Hazewinkel's generators
+v_1, v_2, ..., read off the logarithm's coefficients at T^(p^n) alone
+(hazewinkel_generators): the ideals I_n = (p, v_1, ..., v_(n-1)), and the
+height of the closed fibre, the least n with v_n a unit there. The p-series
+[p](T) = a_0 T + a_1 T^2 + ... (a_i multiplies T^(i+1), a_0 = p) has
+a_(p^n - 1) = v_n mod I_n; it and its height scan stay as the independent
+route the acceptance suite and the tests check against.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coefficients import (
     QQ,
@@ -178,25 +178,25 @@ def fgl_from_log(log: Logarithm, cap: int, integral_at: Prime | None = None
     F = l.reversion().compose(lx.add(ly))
     law = FormalGroupLaw(F, provenance="from-logarithm")
     if integral_at is not None:
-        _check_integral(F, integral_at)
+        check_integral(F, integral_at)
     return law
 
 
-def _check_integral(s: Series, p: Prime):
+def _p_integral(x, p: Prime) -> bool:
+    """Is x, a rational or a truncated polynomial, p-integral termwise?"""
+    terms = x.terms.values() if isinstance(x, TruncPoly) else (x,)
+    return all(val_p(c, p) >= 0 for c in terms)
+
+
+def check_integral(s: Series, p: Prime):
+    """Raise NonIntegral at the first coefficient of s, in degree order,
+    that is not p-integral."""
     for e in sorted(s.coeffs, key=lambda e: (sum(e), e)):
         c = s.coeffs[e]
-        if isinstance(c, TruncPoly):
-            for me, mc in c.terms.items():
-                if val_p(mc, p) < 0:
-                    raise NonIntegral(
-                        f"coefficient at {dict(zip(s.vars, e))} has "
-                        f"{p.p}-denominator in monomial {me}: {mc}",
-                        degree=e, value=mc)
-        else:
-            if val_p(c, p) < 0:
-                raise NonIntegral(
-                    f"coefficient at {dict(zip(s.vars, e))} is not "
-                    f"{p.p}-integral: {c}", degree=e, value=c)
+        if not _p_integral(c, p):
+            raise NonIntegral(
+                f"coefficient at {dict(zip(s.vars, e))} is not "
+                f"{p.p}-integral: {c}", degree=e, value=c)
 
 
 def log_from_fgl(law: FormalGroupLaw, cap: int | None = None) -> Logarithm:
@@ -218,7 +218,7 @@ def log_from_fgl(law: FormalGroupLaw, cap: int | None = None) -> Logarithm:
 
 
 # ---------------------------------------------------------------------------
-# p-series, heights, ideal chains
+# p-series and heights
 # ---------------------------------------------------------------------------
 
 
@@ -263,21 +263,15 @@ class PSeries:
         rng = ResidueRing(self.p)
         out = {}
         for (d,), c in sorted(self.series.coeffs.items()):
-            if isinstance(c, TruncPoly):
-                for me, mc in c.terms.items():
-                    if val_p(mc, self.p) < 0:
-                        raise NonIntegral(
-                            f"degree-{d} coefficient not {self.p.p}-integral "
-                            f"at monomial {me}: {mc}", degree=d, value=mc)
-                r = reduce_mod(c.constant_term(), rng)
-            elif isinstance(c, Residue):
+            if isinstance(c, Residue):
                 r = c.v % rng.modulus
+            elif _p_integral(c, self.p):
+                r = reduce_mod(c.constant_term() if isinstance(c, TruncPoly)
+                               else c, rng)
             else:
-                if val_p(c, self.p) < 0:
-                    raise NonIntegral(
-                        f"degree-{d} coefficient not {self.p.p}-integral: {c}",
-                        degree=d, value=c)
-                r = reduce_mod(c, rng)
+                raise NonIntegral(
+                    f"degree-{d} coefficient not {self.p.p}-integral: {c}",
+                    degree=d, value=c)
             if r:
                 out[(d,)] = Residue(rng, r)
         return PSeries(self.p, Series(rng, ("T",), self.cap, out))
@@ -288,9 +282,9 @@ def p_series(source, p: Prime, cap: int) -> PSeries:
     p-fold iterate F(... F(F(T,T),T) ..., T) when given a law.
 
     The logarithm route solves l([p](T)) = p l(T) for [p] by one Newton
-    iteration (Series.solve, starting from pT); it only does univariate work
-    and is the default for heights. The iterate is the independent
-    cross-check at small caps.
+    iteration (Series.solve, starting from pT); it only does univariate
+    work. The iterate is the independent cross-check at small caps. Both
+    are oracles for the v_n that hazewinkel_generators reads.
     """
     p = p if isinstance(p, Prime) else Prime(int(p))
     if isinstance(source, Logarithm):
@@ -312,9 +306,10 @@ def p_series(source, p: Prime, cap: int) -> PSeries:
 
 @dataclass(frozen=True)
 class HeightResult:
-    """Finite(h) when the first nonzero coefficient of the reduced p-series
-    sits in degree p^h; AtLeast(bound) when the series vanishes through
-    degree p^bound. Infinite height is never asserted from a finite cap."""
+    """Finite(h) when the closed fibre has height h, witnessed in degree
+    p^h (v_h the first unit, or the reduced p-series' first nonzero term);
+    AtLeast(bound) when nothing through degree p^bound decides. Infinite
+    height is never asserted from a finite cap."""
 
     kind: str  # "finite" | "at_least"
     value: int
@@ -363,59 +358,6 @@ def height(ps: PSeries, h_max: int) -> HeightResult:
                 f"not a power of {p}")
         return HeightResult("finite", h, first_nonzero_degree=d)
     return HeightResult("at_least", h_max)
-
-
-def escalating_height(source, p: Prime, h_max: int, cap: int):
-    """(p-series, height) read off the smallest window that decides.
-
-    [p] of a Logarithm or law is built in its own coefficient ring at the
-    windows p^1 + 1, p^2 + 1, ... below cap, then at cap, and reduced mod p;
-    the first window whose reduction has a nonzero coefficient gives the
-    verdict. Only an all-zero series goes on to the full cap, where the scan
-    certifies AtLeast(h_max). A series at cap N is exact through degree N,
-    so the verdict is the one the full-cap window gives. Integrality is
-    checked through the window the verdict was read from: a p-denominator
-    above the witnessing degree is not looked for.
-    """
-    p = p if isinstance(p, Prime) else Prime(int(p))
-    k = 1
-    while True:
-        window = min(p.p ** k + 1, cap)
-        ps = p_series(source, p, window)
-        red = ps.reduce()
-        if window == cap:
-            return ps, height(red, h_max)
-        if not red.series.is_zero():
-            return ps, height(red, k)
-        k += 1
-
-
-@dataclass
-class LandweberIdealChain:
-    """Generators of I_(p,n) for n = 0..n_max, read off one p-series.
-
-    generators[n] lists a_0 ... a_(p^(n-1) - 1) (empty for n = 0, and (p) for
-    n = 1); vs[n] = v_n = a_(p^n - 1). The recursion
-    I_(p,n+1) = I_(p,n) + (v_n) is a theorem about these lists, checked by
-    ideal_contains in tests rather than assumed."""
-
-    p: Prime
-    generators: list = field(default_factory=list)
-    vs: list = field(default_factory=list)
-    ring: object = None
-
-
-def landweber_chain(ps: PSeries, n_max: int) -> LandweberIdealChain:
-    p = ps.p.p
-    if ps.cap < p ** n_max:
-        raise CapTooSmall(
-            f"cap {ps.cap} < p^n_max = {p ** n_max}: v_{n_max} unreachable")
-    gens = []
-    for n in range(n_max + 1):
-        count = 0 if n == 0 else p ** (n - 1)
-        gens.append([ps.a(i) for i in range(count)])
-    vs = [ps.v(n) for n in range(n_max + 1)]
-    return LandweberIdealChain(p=ps.p, generators=gens, vs=vs, ring=ps.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +536,47 @@ def hazewinkel_log(v, p: Prime, cap: int) -> Logarithm:
     coeffs = {(p.p ** i,): m for i, m in enumerate(ms)
               if p.p ** i <= cap and not ring.is_zero(m)}
     return Logarithm(Series(ring, ("T",), cap, coeffs))
+
+
+def unit_at_closed_point(x, p: Prime) -> bool:
+    """Is x, a rational or a truncated polynomial, a unit of the p-local
+    base at its closed point (every parameter set to 0, then mod p)?"""
+    c = x.constant_term() if isinstance(x, TruncPoly) else x
+    return val_p(c, p) == 0
+
+
+def hazewinkel_generators(ells, p: Prime):
+    """Yield Hazewinkel's v_1, v_2, ... from ells = l_1, l_2, ..., the
+    logarithm's coefficients at T^p, T^(p^2), ..., by inverting the
+    recursion of hazewinkel_log, p l_n = sum_(i<n) l_i v_(n-i)^(p^i) with
+    l_0 = 1: v_n = p l_n - sum_(0<i<n) l_i v_(n-i)^(p^i).
+
+    Cartier p-typification keeps exactly the terms l_n T^(p^n) and is a
+    strict isomorphism, so I_n = (p, v_1, ..., v_(n-1)) and the class of
+    v_n mod I_n are the law's own (Ravenel, Complex Cobordism, A2.1-A2.2;
+    Hazewinkel, Formal Groups and Applications, 15 and 21). Each v_n is
+    computed when asked for; one that is not p-integral raises NonIntegral,
+    and the first that is a unit at the closed point is the last yielded:
+    the closed fibre has height n.
+    """
+    p = p if isinstance(p, Prime) else Prime(int(p))
+    q = p.p
+    ls, vs = [], []
+    for n, ell in enumerate(ells, start=1):
+        v = q * ell
+        for i in range(1, n):
+            li, w = ls[i - 1], vs[n - i - 1]
+            if li and w:
+                v = v - li * w ** (q ** i)
+        if not _p_integral(v, p):
+            raise NonIntegral(
+                f"v_{n}, read from the logarithm's coefficient at "
+                f"T^{q ** n}, is not {q}-integral", degree=q ** n, value=v)
+        yield v
+        if unit_at_closed_point(v, p):
+            return
+        ls.append(ell)
+        vs.append(v)
 
 
 # ---------------------------------------------------------------------------

@@ -15,24 +15,30 @@ f^j for every j < m at once; it serves stienstra_log on nondiagonal quartics,
 and beta_coefficient falls back to it when its counted cost is lower (dense
 quartics, exponent vectors of rank < 4).
 
-Everything downstream (mod-p heights, the ordinarity test beta_p mod p,
-exactness certificates) consumes the logarithm built here. A height is the
-least n with v_p(beta_(p^n)) = n - 1, the p-typical criterion brauer_height
-documents: it reads the betas in the degrees p^n only and builds no p-series.
-It extracts the logarithm through min(LAW_CAP, cap), for the law spot-check,
-and takes each beta_(p^n) as a single beta above that.
-A bound that decides nothing is reported as a lower bound, never as
-infinity. The p-series over QQ, reduced mod p, stays as the criterion's test
-oracle and as the route exactness reports take, which need the exact v_n.
+Everything downstream reads the betas extracted here. A height is the
+least n whose Hazewinkel generator v_n, read off the logarithm's
+coefficients beta_(p^n) / p^n at T^(p^n) by fgl.hazewinkel_generators, is a
+unit mod p; that is the least n with v_p(beta_(p^n)) = n - 1, the p-typical
+criterion brauer_height documents. It reads only those single betas and
+builds neither a p-series nor the bivariate law. A bound that decides
+nothing is reported as a lower bound, never as infinity. Exactness
+certificates (landweber.certify_k3_spectrum) read the same betas, and
+extract the logarithm through a small cap only for the law they embed. The
+p-series over QQ, reduced mod p, stays as the criterion's test oracle.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .coefficients import Prime, multinomial, rat, val_p
-from .errors import CapTooSmall, NonIntegral
-from .fgl import HeightResult, Logarithm, fgl_from_log
+from .coefficients import QQ, Prime, multinomial, rat
+from .errors import CapTooSmall
+from .fgl import (
+    HeightResult,
+    Logarithm,
+    hazewinkel_generators,
+    unit_at_closed_point,
+)
 from .series import Series
 
 QUARTIC_VARS = ("T0", "T1", "T2", "T3")
@@ -370,9 +376,7 @@ def beta_coefficient(f: QuarticForm, m: int) -> int:
 
 class BrauerLog:
     """The logarithm sum beta_m T^m / m of a quartic's formal group, together
-    with the integer betas it was built from. beta_1 = 1 always. `betas`
-    may also hold single betas read above the cap (zeros included), as
-    brauer_height records the beta_(p^n) it reads."""
+    with the integer betas it was built from. beta_1 = 1 always."""
 
     __slots__ = ("log", "source", "betas")
 
@@ -388,16 +392,9 @@ class BrauerLog:
         return self.log.cap
 
     def beta(self, m: int) -> int:
-        if m > self.cap and m not in self.betas:
+        if m > self.cap:
             raise CapTooSmall(f"beta_{m} beyond cap {self.cap}")
         return self.betas.get(m, 0)
-
-
-def _log_from_betas(f: QuarticForm, betas: dict, cap: int) -> BrauerLog:
-    from .coefficients import QQ
-
-    coeffs = {(m,): rat(b, m) for m, b in betas.items() if b and m <= cap}
-    return BrauerLog(Logarithm(Series(QQ, ("T",), cap, coeffs)), f, betas)
 
 
 def stienstra_log(f: QuarticForm, cap: int) -> BrauerLog:
@@ -416,7 +413,8 @@ def stienstra_log(f: QuarticForm, cap: int) -> BrauerLog:
         diag = power_diagonal(f, cap - 1)
         betas = {m: diag[m - 1] for m in range(1, cap + 1)}
     betas = {m: b for m, b in betas.items() if b}
-    return _log_from_betas(f, betas, cap)
+    coeffs = {(m,): rat(b, m) for m, b in betas.items()}
+    return BrauerLog(Logarithm(Series(QQ, ("T",), cap, coeffs)), f, betas)
 
 
 # ---------------------------------------------------------------------------
@@ -424,39 +422,20 @@ def stienstra_log(f: QuarticForm, cap: int) -> BrauerLog:
 # ---------------------------------------------------------------------------
 
 
-# the bivariate law spot-check runs through min(LAW_CAP, cap)
-LAW_CAP = 12
+def brauer_height(f: QuarticForm, p, h_max: int) -> HeightResult:
+    """Height of the formal Brauer group of f in characteristic p: the least
+    n <= h_max whose Hazewinkel generator v_n, read by hazewinkel_generators
+    off the logarithm's coefficients l_n = beta_(p^n) / p^n, is a unit mod
+    p; AtLeast(h_max) if there is none. While v_1, ..., v_(n-1) = 0 mod p,
+    each term l_i v_(n-i)^(p^i) (i >= 1) has valuation at least
+    p^i - i >= 1, so v_n = beta_(p^n) / p^(n-1) mod p: the height is the
+    least n with v_p(beta_(p^n)) = n - 1, witnessed in degree p^n.
 
-
-def brauer_height(f: QuarticForm, p, h_max: int, cap: int | None = None,
-                  with_log: bool = False):
-    """Height of the formal Brauer group of f in characteristic p.
-
-    The height is the least n with v_p(beta_(p^n)) = n - 1, with witness
-    degree p^n. Why: Cartier's p-typification of l = sum beta_m T^m / m
-    keeps only the terms l_n = beta_(p^n) / p^n and is strictly isomorphic
-    to the law, so the height does not change. Hazewinkel's functional
-    equation p l_n = sum_(i<n) l_i v_(n-i)^(p^i) (l_0 = 1) defines v_n, and
-    the height is the least n with v_n a unit mod p. When
-    v_1, ..., v_(n-1) = 0 mod p, each term with i >= 1 has valuation at
-    least p^i - i >= 1, so v_n = beta_(p^n) / p^(n-1) mod p. The scan runs
-    n = 1, 2, ... while p^n <= cap (p^h_max + 1 unless given); if no n
-    decides, the verdict is AtLeast(h_max).
-
-    The argument assumes the law is p-integral, which Stienstra (Amer. J.
-    Math. 109, 1987) proves for the logarithms of these formal groups. A
-    value v_p(beta_(p^n)) < n - 1 contradicts it and raises NonIntegral.
-    Apart from the law spot-check, which rebuilds the bivariate law at
-    min(LAW_CAP, cap) with p-integrality enforced coefficientwise,
-    denominators are looked for only in the degrees p^n; the p-series over
-    QQ (fgl.escalating_height) would look in every degree of its window.
-
-    The logarithm is extracted through min(LAW_CAP, cap) only, the degrees
-    the law spot-check reads. Every beta_(p^n) read, beta_p included, comes
-    from one beta_coefficients call, so the multiplicity enumeration serves
-    them from one setup and computes none past the deciding n. With
-    with_log, that BrauerLog is returned as well, its betas extended by the
-    beta_(p^n) read above its cap; it holds beta_p.
+    The law is p-integral by Stienstra (Amer. J. Math. 109, 1987), which is
+    not rechecked here; a value v_p(beta_(p^n)) < n - 1 contradicts it and
+    raises NonIntegral. The betas come from one beta_coefficients call, so
+    the extractor's setup is shared and no beta past the deciding n is
+    computed.
     """
     p = p if isinstance(p, Prime) else Prime(int(p))
     if h_max < 1:
@@ -464,30 +443,12 @@ def brauer_height(f: QuarticForm, p, h_max: int, cap: int | None = None,
     if all(c % p.p == 0 for c in f.terms.values()):
         raise ValueError(
             f"{p.p} divides every coefficient of {f.name}; no reduction mod {p.p}")
-    if cap is None:
-        cap = p.p ** h_max + 1
-    if cap < p.p ** h_max:
-        raise CapTooSmall(
-            f"cap {cap} < p^h_max = {p.p ** h_max}; the verdict window is empty")
-    lc = min(cap, LAW_CAP)
-    blog = stienstra_log(f, lc)
-    fgl_from_log(blog.log, lc, integral_at=p)
-    qs = [p.p]
-    while qs[-1] * p.p <= cap:
-        qs.append(qs[-1] * p.p)
-    result = HeightResult("at_least", h_max)
-    for n, (q, beta) in enumerate(zip(qs, beta_coefficients(f, qs)), start=1):
-        if q > blog.cap:
-            blog.betas[q] = beta
-        v = val_p(beta, p)
-        if v < n - 1:
-            raise NonIntegral(
-                f"v_{n} = beta_{q} / {p.p}^{n - 1} is not {p.p}-integral "
-                f"for {f.name}", degree=q, value=beta)
-        if v == n - 1:
-            result = HeightResult("finite", n, first_nonzero_degree=q)
-            break
-    return (result, blog) if with_log else result
+    qs = [p.p ** n for n in range(1, h_max + 1)]
+    ells = (rat(b, q) for q, b in zip(qs, beta_coefficients(f, qs)))
+    for n, v in enumerate(hazewinkel_generators(ells, p), start=1):
+        if unit_at_closed_point(v, p):
+            return HeightResult("finite", n, first_nonzero_degree=qs[n - 1])
+    return HeightResult("at_least", h_max)
 
 
 def ordinarity_criterion(f: QuarticForm, p) -> bool:

@@ -1,8 +1,12 @@
 """Exactness certificates for formal group laws over presented local rings.
 
-The criterion in play: over a p-local base, read the p-series coefficients
+The criterion in play: over a p-local base, take Hazewinkel's generators
 v_0 = p, v_1, v_2, ... of a law and ask that (p, v_1, ..., v_{h-1}) act as a
 regular sequence with v_h a unit, where h is the height of the closed fibre.
+The v_n are read off the logarithm's coefficients at T^(p^n) alone
+(fgl.hazewinkel_generators); v_n is congruent mod (p, v_1, ..., v_{n-1}) to
+the coefficient of T^(p^n) in [p](T), and the p-series stays only as the
+oracle the tests and the acceptance suite compare against.
 When that holds the law is exact (it defines a homology theory via the usual
 base-change functor); when an element is a zerodivisor it is not; and when
 the finite window cannot decide, the verdict says so instead of guessing.
@@ -24,7 +28,7 @@ from functools import cached_property
 from itertools import product as _iproduct
 
 from . import __version__
-from .coefficients import QQ, Prime, TruncPoly, TruncPolyRing, val_p
+from .coefficients import QQ, Prime, TruncPoly, TruncPolyRing, rat, val_p
 from .errors import (
     CapTooSmall,
     CertificationRefused,
@@ -33,15 +37,23 @@ from .errors import (
 )
 from .fgl import (
     FormalGroupLaw,
+    HeightResult,
     Logarithm,
-    escalating_height,
+    check_integral,
     fgl_from_log,
+    hazewinkel_generators,
     hazewinkel_log,
     ideal_contains,
-    landweber_chain,
+    log_from_fgl,
     standard_law,
+    unit_at_closed_point,
 )
-from .k3brauer import QuarticForm, smooth_check_fp, stienstra_log
+from .k3brauer import (
+    QuarticForm,
+    beta_coefficients,
+    smooth_check_fp,
+    stienstra_log,
+)
 
 # ---------------------------------------------------------------------------
 # ring presentations
@@ -305,30 +317,44 @@ class LandweberReport:
         }
 
 
+def _window(p: int, h_max: int, cap: int | None) -> int:
+    """The verdict window cap, by default p^h_max + 1."""
+    if h_max < 1:
+        raise ValueError("h_max must be >= 1")
+    if cap is None:
+        cap = p ** h_max + 1
+    if cap < p ** h_max:
+        raise CapTooSmall(
+            f"cap {cap} < p^h_max = {p ** h_max}; no verdict window")
+    return cap
+
+
+def _p_powers(p: int, cap: int) -> list:
+    qs = [p]
+    while qs[-1] * p <= cap:
+        qs.append(qs[-1] * p)
+    return qs
+
+
 def landweber_check(R: RingPresentation, source, h_max: int,
                     cap: int | None = None) -> LandweberReport:
     """Exactness verdict for a law or logarithm over the presentation R.
 
-    Computes the p-series on escalating windows p^1 + 1, ..., cap
-    (fgl.escalating_height), reducing each at the closed point (parameters
-    to 0, then mod p), and stops at the first window that shows the height
-    h of the closed fibre; the v_n are read from that window, which reaches
-    degree p^h. It then classifies (p, v_1, ..., v_h): Exact requires
-    Regular all the way up with v_h a Unit. A window that never shows a
-    unit yields Inconclusive, because a larger cap could still reveal one;
-    torsion yields NotExact with its witness on display.
-
-    Integrality is checked through the window the verdict was read from: a
-    p-denominator above the witnessing degree is no longer looked for here.
+    fgl.hazewinkel_generators reads v_1, v_2, ... off the logarithm's
+    coefficients at T^p, T^(p^2), ... through degree cap (a law gives its
+    logarithm by log_from_fgl), and stops at the first v_h that is a unit at
+    the closed point: h is the height of the closed fibre. The report
+    classifies (p, v_1, ..., v_h): Exact requires Regular all the way up
+    with v_h a Unit. A window that never shows a unit yields Inconclusive,
+    because a larger cap could still reveal one; torsion yields NotExact
+    with its witness on display. The ideals (p, v_1, ..., v_n) and the
+    classes of v_n modulo them are those of the law itself, since
+    p-typification is a strict isomorphism. A v_n that is not p-integral
+    raises NonIntegral, and so does a law given with a coefficient that is
+    not; a logarithm's denominators in other degrees are not looked for.
     """
     p = R.prime
-    if h_max < 1:
-        raise ValueError("h_max must be >= 1")
-    if cap is None:
-        cap = p.p ** h_max + 1
-    if cap < p.p ** h_max:
-        raise CapTooSmall(
-            f"cap {cap} < p^h_max = {p.p ** h_max}; no verdict window")
+    cap = _window(p.p, h_max, cap)
     if isinstance(source, (Logarithm, FormalGroupLaw)):
         ring = source.ring
     else:
@@ -340,14 +366,37 @@ def landweber_check(R: RingPresentation, source, h_max: int,
     elif ring != QQ:
         raise RingMismatch(
             "parameter-free presentations expect rational coefficients")
-    # integrality enforced degree by degree through the deciding window
-    ps, h = escalating_height(source, p, h_max, cap)
+    if isinstance(source, FormalGroupLaw):
+        check_integral(source.F, p)
+    log = source if isinstance(source, Logarithm) else log_from_fgl(source)
+    if log.cap < cap:
+        raise CapTooSmall(f"logarithm cap {log.cap} < window {cap}")
+    ells = (log.series.coeff(q) for q in _p_powers(p.p, cap))
+    return _exactness_report(R, ring, ells, h_max, cap)
 
-    chain = landweber_chain(ps, h.value)
-    verdicts = check_regular_sequence(R, chain.vs)
-    report = LandweberReport(p=p, ring=R, closed_fibre_height=h, vs=chain.vs,
-                             chain_generators=chain.generators,
-                             verdicts=verdicts)
+
+def _exactness_report(R: RingPresentation, ring, ells, h_max: int,
+                      cap: int) -> LandweberReport:
+    """The report on (p, v_1, ..., v_h), the v_n read from the logarithm's
+    coefficients ells at T^p, T^(p^2), ..., elements of ring."""
+    p = R.prime
+    vs = [ring.from_int(p.p), *hazewinkel_generators(ells, p)]
+    if unit_at_closed_point(vs[-1], p):
+        h = HeightResult("finite", len(vs) - 1,
+                         first_nonzero_degree=p.p ** (len(vs) - 1))
+    else:
+        h = HeightResult("at_least", h_max)
+        del vs[h_max + 1:]
+    report = LandweberReport(
+        p=p, ring=R, closed_fibre_height=h, vs=vs,
+        chain_generators=[vs[:n] for n in range(len(vs))],
+        verdicts=check_regular_sequence(R, vs))
+    return _decide(report, h_max, cap)
+
+
+def _decide(report: LandweberReport, h_max: int, cap: int) -> LandweberReport:
+    """Set the verdict, its reason and the stabilization index."""
+    h, verdicts = report.closed_fibre_height, report.verdicts
     if not h.is_finite:
         report.reason = (
             f"closed-fibre height exceeds h_max = {h_max} within cap {cap} "
@@ -459,19 +508,21 @@ def certify_k3_spectrum(R: RingPresentation, f: QuarticForm, h_max: int,
 
     The embedded law is rebuilt at min(LAW_CAP, cap) with p-integrality
     enforced and the full axiom suite run, so a certificate never carries an
-    unchecked law. The report comes from landweber_check, so its p-series
-    is built on the same escalating windows."""
+    unchecked law; the logarithm is extracted through that cap only. The
+    report reads its v_n, as landweber_check does, from the logarithm's
+    coefficients beta_(p^n) / p^n, each a single beta."""
     p = R.prime
     if R.parameters:
         raise RingMismatch(
             "quartic laws have rational coefficients; use a parameter-free "
             "presentation")
-    if cap is None:
-        cap = p.p ** h_max + 1
-    blog = stienstra_log(f, cap)
-    law = fgl_from_log(blog.log, min(LAW_CAP, cap), integral_at=p)
+    cap = _window(p.p, h_max, cap)
+    law_cap = min(LAW_CAP, cap)
+    law = fgl_from_log(stienstra_log(f, law_cap).log, law_cap, integral_at=p)
     law.verify_axioms()
-    report = landweber_check(R, blog.log, h_max, cap)
+    qs = _p_powers(p.p, cap)
+    ells = (rat(b, q) for q, b in zip(qs, beta_coefficients(f, qs)))
+    report = _exactness_report(R, QQ, ells, h_max, cap)
     if report.verdict != "exact":
         raise CertificationRefused(
             f"cannot certify {f.name} over {R}: {report.reason}",

@@ -1,31 +1,41 @@
-"""Escalating p-series windows give the verdicts of the full window.
+"""The p-series route, kept as an oracle, against the routes that replaced it.
 
-Heights and exactness reports build [p](T) at p^1 + 1, p^2 + 1, ..., cap and
-stop at the first window whose reduction mod p is nonzero. A series at cap
-N is exact through degree N, so every verdict must equal the one read off
-the whole window, computed here directly.
+Heights read v_p(beta_(p^n)), and exactness reports read Hazewinkel's v_n
+off the logarithm's p-power coefficients. The oracle builds [p](T) at
+p^1 + 1, p^2 + 1, ..., cap and stops at the first window whose reduction mod
+p is nonzero (p_series_oracle.escalating_height). A series at cap N is exact
+through degree N, so the oracle's verdicts must equal the ones read off the
+whole window, and the production routes must agree with the oracle: the
+same closed-fibre height, the same ideals (p, v_1, ..., v_n), and no status
+that moves between regular or unit and zerodivisor.
 """
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from formalbrauer import landweber
+import p_series_oracle
 from formalbrauer.coefficients import QQ, Prime, rat
 from formalbrauer.errors import NonIntegral
 from formalbrauer.fgl import (
     Logarithm,
-    escalating_height,
+    fgl_from_log,
+    hazewinkel_log,
     height,
+    ideal_contains,
+    log_from_fgl,
     p_series,
     standard_law,
 )
 from formalbrauer.k3brauer import brauer_height, named_quartic, stienstra_log
 from formalbrauer.landweber import (
     SCENARIOS,
+    RingPresentation,
     builtin_scenario,
     landweber_check,
     zp_presentation,
 )
 from formalbrauer.series import Series
+from p_series_oracle import escalating_height, p_series_report
 
 # (quartic, p, h_max) -> (kind, value, first_nonzero_degree): the height
 # cells of the census benchmark, with the verdicts the seed commit gave
@@ -66,13 +76,99 @@ def test_escalated_height_equals_full_window(name, p, h_max):
         CENSUS_HEIGHTS[name, p, h_max]
 
 
+REGULAR_OR_UNIT = {"regular", "unit"}
+
+
+def _routes_agree(report, oracle, ring) -> int:
+    """Assert that an exactness report agrees with the p-series oracle's;
+    return how many statuses moved to or from unknown."""
+    p = report.p
+    h = report.closed_fibre_height
+    assert h == oracle.closed_fibre_height
+    for n in range(h.value + 1):
+        ours, theirs = report.vs[:n + 1], oracle.vs[:n + 1]
+        assert all(ideal_contains(theirs, x, p, ring) for x in ours), n
+        assert all(ideal_contains(ours, x, p, ring) for x in theirs), n
+    moves = 0
+    for a, b in zip(report.verdicts, oracle.verdicts):
+        pair = {a.status, b.status}
+        assert not (pair & REGULAR_OR_UNIT and "zerodivisor" in pair), pair
+        moves += a.status != b.status
+    return moves
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_escalated_landweber_report_equals_full_window(name, p, monkeypatch):
     R, source, h_max = builtin_scenario(name, p)
-    got = landweber_check(R, source, h_max).to_json_dict()
-    monkeypatch.setattr(landweber, "escalating_height", _full_window)
-    assert got == landweber_check(R, source, h_max).to_json_dict()
+    oracle = p_series_report(R, source, h_max)
+    assert _routes_agree(landweber_check(R, source, h_max), oracle,
+                         source.ring) == 0
+    monkeypatch.setattr(p_series_oracle, "escalating_height", _full_window)
+    assert oracle.to_json_dict() == \
+        p_series_report(R, source, h_max).to_json_dict()
+
+
+def test_window_above_p_to_the_h_max():
+    # landweber --cap reads every degree p^n <= cap, as the p-series route
+    # scanned the whole window: a unit past h_max still decides, and an
+    # undecided report lists v_0, ..., v_(h_max) only
+    R, log, _ = builtin_scenario("hazewinkel-t1", 3, cap=10)
+    additive = standard_law("additive", QQ, 28)
+    cases = [(R, log, 1), (zp_presentation(3), additive, 2)]
+    reports = [landweber_check(*case, cap=case[1].cap) for case in cases]
+    assert (reports[0].closed_fibre_height.value, reports[0].verdict) == \
+        (2, "exact")
+    assert reports[1].closed_fibre_height.kind == "at_least"
+    assert reports[1].vs == [3, 0, 0]
+    for case, report in zip(cases, reports):
+        oracle = p_series_report(*case, cap=case[1].cap)
+        assert _routes_agree(report, oracle, case[1].ring) == 0
+
+
+def _hazewinkel_case(draw, p):
+    R = RingPresentation(Prime(p), ("t",), 8, ())
+    base = R.base_ring
+    t = base.var("t")
+    v = draw(st.sampled_from([(t, 1), (1,), (0, 1)]))
+    scaled = draw(st.lists(st.booleans(), min_size=len(v), max_size=len(v)))
+    v = [base.coerce(x) * (p if s else 1) for x, s in zip(v, scaled)]
+    return R, hazewinkel_log(v, Prime(p), p * p + 1), [base.one, t]
+
+
+def _multiplicative_case(draw, p):
+    R = draw(st.sampled_from([zp_presentation(p),
+                              RingPresentation(Prime(p), (), 8, (p * p,))]))
+    law = standard_law("multiplicative", QQ, p * p + 1)
+    return R, log_from_fgl(law), [QQ.one]
+
+
+@st.composite
+def conjugates(draw):
+    """(presentation, logarithm) for l(u(T)), where l is a Hazewinkel
+    logarithm over Z_(p)[t] or the multiplicative one over QQ, and
+    u(T) = T + c_2 T^2 + ... is a strict coordinate change with p-integral
+    coefficients: the logarithm of the conjugated law."""
+    p = draw(st.sampled_from([3, 5]))
+    case = draw(st.sampled_from([_hazewinkel_case, _multiplicative_case]))
+    R, log, units = case(draw, p)
+    ring, cap = log.ring, log.cap
+    coeffs = {1: ring.one}
+    for d in draw(st.lists(st.integers(2, cap), max_size=4, unique=True)):
+        c = draw(st.sampled_from([c for c in range(-p, p + 1) if c]))
+        coeffs[d] = units[draw(st.integers(0, len(units) - 1))] * c
+    u = Series.univariate(ring, cap, coeffs)
+    return R, Logarithm(log.series.compose(u))
+
+
+@settings(max_examples=30, deadline=None)
+@given(conjugates())
+def test_routes_agree_on_random_conjugates(case):
+    R, log = case
+    report = landweber_check(R, log, 2)
+    moves = _routes_agree(report, p_series_report(R, log, 2), log.ring)
+    event(f"statuses moved to or from unknown: {moves}")
+    event(f"verdict {report.verdict}")
 
 
 def test_witness_window_stops_the_escalation():
@@ -89,19 +185,32 @@ def _log(coeffs, cap):
 
 def test_denominator_in_the_deciding_window_raises():
     # l = T + T^9/9: [3] = 3T + (1/3 - 3^7) T^9 + ..., zero mod 3 through
-    # the first window, so the second window decides and meets 1/3 there
+    # the first window, so the second window decides and meets 1/3 there;
+    # the report reads v_1 = 0 and v_2 = 3 * (1/9) = 1/3
     log = _log({1: 1, 9: rat(1, 9)}, 10)
     with pytest.raises(NonIntegral):
         _full_window(log, Prime(3), 2, 10)
     with pytest.raises(NonIntegral):
         escalating_height(log, Prime(3), 2, 10)
-    with pytest.raises(NonIntegral):
+    with pytest.raises(NonIntegral) as err:
         landweber_check(zp_presentation(3), log, 2)
+    assert err.value.degree == 9
+
+
+def test_law_with_a_denominator_off_the_degrees_p_n_raises():
+    # l = T + T^2/3 puts 3-denominators on the law and on [3], but none on
+    # its coefficients at T^(3^n): the law's own coefficients show them
+    log = _log({1: 1, 2: rat(1, 3)}, 10)
+    with pytest.raises(NonIntegral):
+        landweber_check(zp_presentation(3), fgl_from_log(log, 10), 2)
+    with pytest.raises(NonIntegral):
+        p_series_report(zp_presentation(3), log, 2)
 
 
 def test_denominator_above_the_deciding_window_is_not_looked_for():
     # log(1 + T) + T^9/9: the first window decides Finite(1) at degree 3;
-    # the 1/3 in degree 9 lies above it and only the full window meets it
+    # the 1/3 in degree 9 lies above it and only the full window meets it.
+    # The report stops at v_1 = 3 * (1/3), a unit, and never reads T^9.
     coeffs = {d: rat((-1) ** (d + 1), d) for d in range(1, 11)}
     coeffs[9] += rat(1, 9)
     log = _log(coeffs, 10)
@@ -110,3 +219,6 @@ def test_denominator_above_the_deciding_window_is_not_looked_for():
     ps, h = escalating_height(log, Prime(3), 2, 10)
     assert ps.cap == 4
     assert (h.kind, h.value, h.first_nonzero_degree) == ("finite", 1, 3)
+    report = landweber_check(zp_presentation(3), log, 2)
+    assert report.closed_fibre_height == h
+    assert report.verdict == "exact"

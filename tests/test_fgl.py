@@ -1,6 +1,7 @@
 """Formal group laws: axioms, logarithms, p-series, heights, ideal chains."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from formalbrauer.coefficients import (
     QQ,
@@ -24,15 +25,17 @@ from formalbrauer.fgl import (
     elliptic_fgl,
     elliptic_ss_oracle,
     fgl_from_log,
+    hazewinkel_generators,
     hazewinkel_log,
     height,
     ideal_contains,
-    landweber_chain,
     log_from_fgl,
     p_series,
     standard_law,
+    unit_at_closed_point,
 )
 from formalbrauer.series import Series
+from p_series_oracle import landweber_chain
 
 
 def _log(coeffs, cap=8):
@@ -325,6 +328,72 @@ def test_hazewinkel_law_is_integral_and_lawful():
     log = hazewinkel_log([t, R.one], Prime(3), 9)
     law = fgl_from_log(log, 9, integral_at=Prime(3))
     law.verify_axioms()
+
+
+def _p_power_coefficients(log, p):
+    q = p
+    while q <= log.cap:
+        yield log.series.coeff(q)
+        q *= p
+
+
+V_ENTRIES = st.sampled_from(["t", "1", "0", "p", "pt", "t+p", "1+t", "t^2"])
+
+
+def _entry(name, p, R):
+    t = R.var("t")
+    return {"t": t, "1": R.one, "0": R.zero, "p": R.from_int(p),
+            "pt": t * p, "t+p": t + p, "1+t": R.one + t, "t^2": t * t}[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5]), st.lists(V_ENTRIES, min_size=1, max_size=3))
+def test_hazewinkel_generators_invert_hazewinkel_log(p, names):
+    # v_1, v_2, ... come back exactly, up to the first one that is a unit at
+    # the closed point
+    R = TruncPolyRing(("t",), 8)
+    v = [_entry(name, p, R) for name in names]
+    log = hazewinkel_log(v, Prime(p), p ** len(v) + 1)
+    want = []
+    for x in v:
+        want.append(x)
+        if x.constant_term() % p:
+            break
+    assert list(hazewinkel_generators(_p_power_coefficients(log, p), p)) == \
+        want
+
+
+def test_hazewinkel_generators_stop_at_the_first_unit():
+    # the multiplicative law: l_1 = 1/3, so v_1 = 1 is a unit and no
+    # further coefficient is read
+    def ells():
+        yield rat(1, 3)
+        raise AssertionError("read past the deciding coefficient")
+
+    assert list(hazewinkel_generators(ells(), Prime(3))) == [rat(1)]
+
+
+def test_hazewinkel_generators_raise_on_a_denominator():
+    # v = (3, 1/3): v_1 = 3 is not a unit, and v_2 = 1/3 is not 3-integral
+    log = hazewinkel_log([3, rat(1, 3)], Prime(3), 10)
+    gen = hazewinkel_generators(_p_power_coefficients(log, 3), Prime(3))
+    assert next(gen) == 3
+    with pytest.raises(NonIntegral) as err:
+        next(gen)
+    assert err.value.degree == 9
+
+
+def test_unit_at_the_closed_point():
+    R = TruncPolyRing(("t",), 4)
+    t = R.var("t")
+    three = Prime(3)
+    assert unit_at_closed_point(R.one + t, three)
+    assert not unit_at_closed_point(t, three)
+    assert not unit_at_closed_point(t + 6, three)
+    assert unit_at_closed_point(rat(2, 5), three)
+    assert not unit_at_closed_point(rat(1, 3), three)   # not in Z_(3)
+    assert not unit_at_closed_point(rat(3), three)
+    assert not unit_at_closed_point(rat(0), three)
 
 
 # ---------------------------------------------------------------------------

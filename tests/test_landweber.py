@@ -169,7 +169,9 @@ def test_scenario_hazewinkel_is_exact_at_height_two():
     assert report.verdict == "exact"
     assert report.stabilization == 2
     assert [v.status for v in report.verdicts] == ["regular", "regular", "unit"]
-    assert str(report.vs[1]) == "-8*t"
+    # the log was built from v = (t, 1), and the report reads them back
+    assert report.vs[1:] == [R.base_ring.var("t"), R.base_ring.one]
+    assert str(report.vs[1]) == "1*t"
     assert report.closed_fibre_height.value == 2
 
 
@@ -178,7 +180,7 @@ def test_scenario_hazewinkel_at_five():
     report = landweber_check(R, log, h_max)
     assert report.verdict == "exact"
     assert report.stabilization == 2
-    assert str(report.vs[1]) == "-624*t"    # (1 - 5^4) t
+    assert report.vs[1] == R.base_ring.var("t")
 
 
 def test_scenario_torsion_is_not_exact():

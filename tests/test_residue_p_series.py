@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from formalbrauer import fgl, k3brauer
 from formalbrauer.coefficients import Prime
 from formalbrauer.errors import NonIntegral
-from formalbrauer.fgl import height, p_series
+from formalbrauer.fgl import HeightResult, fgl_from_log, height, p_series
 from formalbrauer.k3brauer import (
     QuarticForm,
     brauer_height,
@@ -86,14 +86,16 @@ def test_nondiagonal_height_two_quartic():
 
 
 def test_cap_above_p_to_the_h_max_reads_further_degrees():
-    # n runs while p^n <= cap, as the QQ route scans the whole cap: h_max 1
-    # with cap 10 still reads beta_9 and finds height 2
+    # the window is p^h_max + 1, as for the QQ route: h_max 1 reads beta_3
+    # only and says AtLeast(1); h_max 2 also reads beta_9 and finds height 2
     f = HEIGHT_TWO_AT_3
-    res = brauer_height(f, 3, 1, cap=10)
+    assert brauer_height(f, 3, 1) == HeightResult("at_least", 1) == \
+        _qq_height(f, 3, 1)
+    res = brauer_height(f, 3, 2)
     assert (res.kind, res.value, res.first_nonzero_degree) == ("finite", 2, 9)
-    assert res == _qq_height(f, 3, 1, cap=10)
+    assert res == _qq_height(f, 3, 2)
     fermat = named_quartic("fermat")
-    assert brauer_height(fermat, 3, 2, cap=28) == _qq_height(fermat, 3, 2, 28)
+    assert brauer_height(fermat, 3, 3) == _qq_height(fermat, 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +114,13 @@ def test_brauer_height_builds_no_p_series_over_qq(monkeypatch):
 
 def test_brauer_height_extracts_the_log_through_the_deciding_window(
         monkeypatch):
-    caps, singles = [], []
-    extract, single = k3brauer.stienstra_log, k3brauer.beta_coefficients
+    # the logarithm's coefficients at T^(p^n) are read as single betas,
+    # through the deciding degree only; no logarithm and no law is built
+    singles = []
+    single = k3brauer.beta_coefficients
 
-    def recording(f, cap):
-        caps.append(cap)
-        return extract(f, cap)
+    def boom(*args, **kwargs):
+        raise AssertionError("logarithm or law built")
 
     def recording_single(f, ms):
         # record each beta as it is pulled, so that betas past the deciding
@@ -126,21 +129,18 @@ def test_brauer_height_extracts_the_log_through_the_deciding_window(
             singles.append(m)
             yield b
 
-    monkeypatch.setattr(k3brauer, "stienstra_log", recording)
+    monkeypatch.setattr(k3brauer, "stienstra_log", boom)
+    monkeypatch.setattr(fgl, "fgl_from_log", boom)
     monkeypatch.setattr(k3brauer, "beta_coefficients", recording_single)
-    # the log only through the law check's cap 12; beta_13, which decides,
-    # is a single beta, and beta_169 is never computed
-    res, blog = brauer_height(named_quartic("fermat-cross"), 13, 2,
-                              with_log=True)
+    # beta_13 decides, and beta_169 is never computed
+    res = brauer_height(named_quartic("fermat-cross"), 13, 2)
     assert (res.kind, res.value, res.first_nonzero_degree) == \
         ("finite", 1, 13)
-    assert caps == [12] and singles == [13] and blog.beta(13) % 13 != 0
-    # every beta_(3^n) is a single beta, those below the cap included
-    caps.clear()
+    assert singles == [13]
     singles.clear()
     res = brauer_height(named_quartic("fermat-cross"), 3, 3)
     assert (res.kind, res.value) == ("at_least", 3)
-    assert caps == [12] and singles == [3, 9, 27]
+    assert singles == [3, 9, 27]
 
 
 def test_beta_below_the_criterion_valuation_raises(monkeypatch):
@@ -156,16 +156,41 @@ def test_beta_below_the_criterion_valuation_raises(monkeypatch):
     assert err.value.degree == 27
 
 
-def test_law_spot_check_finds_a_denominator_off_the_degrees_p_n(
-        monkeypatch):
-    # l = T + T^6 / 6 puts -10/3 on X^3 Y^3 of the law; the criterion reads
-    # only beta_3 and beta_9 (both 0) and would say AtLeast(2), so the
-    # denominator is the law spot-check's to find
+@st.composite
+def quartics_and_law_primes(draw):
+    """(quartic, p) for p up to 11, the primes a law through degree 12 can
+    have in its denominators."""
+    f, _ = draw(random_quartics())
+    return f, draw(st.sampled_from([3, 5, 7, 11]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(quartics_and_law_primes())
+def test_stienstra_law_is_integral_on_random_quartics(case):
+    # brauer_height relies on Stienstra's theorem, that the law of
+    # sum beta_m T^m / m is integral, and does not recheck it; here it is
+    # checked coefficient by coefficient through degree 12, where every
+    # denominator of the law is a product of primes up to 11
+    f, p = case
+    law = fgl_from_log(stienstra_log(f, 12).log, 12, integral_at=Prime(p))
+    assert law.is_commutative()
+
+
+@pytest.mark.parametrize("name, p, n", [("fermat", 7, 2),
+                                        ("fermat-cross", 3, 2),
+                                        ("fermat", 3, 4)])
+def test_brauer_height_raises_on_a_non_integral_v_n(name, p, n, monkeypatch):
+    # a beta_(p^n) of valuation n - 2 makes v_n = beta_(p^n) / p^(n-1) - ...
+    # non-integral; at (fermat, 3, 4) the correction l_2 v_2^9 is nonzero
+    q = p ** n
+    single = k3brauer.beta_coefficients
     monkeypatch.setattr(
-        k3brauer, "stienstra_log",
-        lambda f, cap: k3brauer._log_from_betas(f, {1: 1, 6: 1}, cap))
-    with pytest.raises(NonIntegral):
-        brauer_height(named_quartic("fermat"), 3, 2)
+        k3brauer, "beta_coefficients",
+        lambda f, ms: (p ** (n - 2) * 2 if m == q else b
+                       for m, b in zip(ms, single(f, ms))))
+    with pytest.raises(NonIntegral) as err:
+        brauer_height(named_quartic(name), p, n)
+    assert err.value.degree == q
 
 
 @pytest.mark.parametrize("p", [17, 19, 23, 29, 31, 37, 41, 43])
