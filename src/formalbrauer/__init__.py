@@ -30,6 +30,7 @@ from .fgl import (
     hazewinkel_log,
     height,
     ideal_contains,
+    ideal_contains_all,
     log_from_fgl,
     p_series,
     standard_law,
@@ -62,7 +63,8 @@ __all__ = [
     "SmoothnessCheckFailed", "CertificationRefused",
     "Logarithm", "FormalGroupLaw", "PSeries", "HeightResult",
     "standard_law", "fgl_from_log", "log_from_fgl", "p_series", "height",
-    "ideal_contains", "hazewinkel_log", "hazewinkel_generators",
+    "ideal_contains", "ideal_contains_all", "hazewinkel_log",
+    "hazewinkel_generators",
     "elliptic_fgl", "count_points", "elliptic_ss_oracle",
     "QuarticForm", "BUILTIN_QUARTICS", "named_quartic", "beta_coefficient",
     "stienstra_log", "brauer_height", "ordinarity_criterion",

@@ -17,7 +17,7 @@ from .fgl import (
     fgl_from_log,
     hazewinkel_log,
     height,
-    ideal_contains,
+    ideal_contains_all,
     log_from_fgl,
     p_series,
     standard_law,
@@ -207,8 +207,9 @@ def check_elliptic_oracle(profile: str):
 
 
 def _mutually_contained(side_a, side_b, p, ring) -> bool:
-    return (all(ideal_contains(side_b, x, p, ring) for x in side_a)
-            and all(ideal_contains(side_a, x, p, ring) for x in side_b))
+    """(side_a) = (side_b): one membership elimination per side."""
+    return (all(ideal_contains_all(side_b, side_a, p, ring))
+            and all(ideal_contains_all(side_a, side_b, p, ring)))
 
 
 def check_ideal_chain(profile: str):

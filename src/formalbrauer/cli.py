@@ -29,12 +29,7 @@ from . import __version__
 from .acceptance import CHECKS, run_checks
 from .coefficients import QQ, Prime, is_prime
 from .errors import CapTooSmall, CertificationRefused, NonIntegral
-from .k3brauer import (
-    QuarticForm,
-    beta_coefficient,
-    brauer_height,
-    named_quartic,
-)
+from .k3brauer import QuarticForm, _height_with_beta_p, named_quartic
 from .landweber import (
     SCENARIOS,
     builtin_scenario,
@@ -186,8 +181,8 @@ def _height_cell(args):
     """One (quartic, prime) grid cell; top level so worker pools can run it."""
     f, p, h_max = args
     start = perf_counter()
-    result = brauer_height(f, p, h_max)
-    beta_p = beta_coefficient(f, p) % p
+    result, beta_p = _height_with_beta_p(f, p, h_max)
+    beta_p %= p
     wall_ms = int((perf_counter() - start) * 1000)
     return {
         "quartic": f.name,

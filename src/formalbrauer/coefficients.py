@@ -447,7 +447,8 @@ class TruncPoly:
         return bool(self.terms)
 
     def constant_term(self):
-        return self.terms.get((0,) * len(self.vars), rat(0))
+        c = self.terms.get((0,) * len(self.vars))
+        return rat(0) if c is None else c
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)

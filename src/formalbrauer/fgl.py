@@ -12,11 +12,19 @@ height of the closed fibre, the least n with v_n a unit there. The p-series
 [p](T) = a_0 T + a_1 T^2 + ... (a_i multiplies T^(i+1), a_0 = p) has
 a_(p^n - 1) = v_n mod I_n; it and its height scan stay as the independent
 route the acceptance suite and the tests check against.
+
+Ideal membership in the base A = Z_(p)[t_1..t_k]/(deg > cap) uses that A is
+local with maximal ideal (p, t_1, ..., t_k): for p-integral generators and
+elements, the ideal contains 1 exactly when some generator is a unit at the
+closed point, and then contains every element; otherwise it contains no
+unit. Everything else, and every input with p in a denominator, is decided
+by one elimination per list of elements (ideal_contains_all).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .coefficients import (
@@ -183,9 +191,12 @@ def fgl_from_log(log: Logarithm, cap: int, integral_at: Prime | None = None
 
 
 def _p_integral(x, p: Prime) -> bool:
-    """Is x, a rational or a truncated polynomial, p-integral termwise?"""
+    """Is x, a rational or a truncated polynomial, p-integral termwise? A
+    rational in lowest terms is p-integral when p does not divide its
+    denominator."""
+    q = int(p)
     terms = x.terms.values() if isinstance(x, TruncPoly) else (x,)
-    return all(val_p(c, p) >= 0 for c in terms)
+    return all(c.denominator % q for c in terms)
 
 
 def check_integral(s: Series, p: Prime):
@@ -365,13 +376,16 @@ def height(ps: PSeries, h_max: int) -> HeightResult:
 # ---------------------------------------------------------------------------
 
 
-def _p_integral_solvable(cols, target, p: int) -> bool:
-    """Does target = sum_j y_j * cols[j] admit p-integral rational y?
+def _p_integral_solvable(rows, vals, targets, p: int) -> list:
+    """For each target b, does b = sum_j y_j * (column j) admit p-integral
+    rational y?
 
-    Columns and target are sparse dicts row key -> rational. Sparse Gaussian
-    elimination over the valuation ring Z_(p): each row is a dict of its
-    nonzero entries with their p-adic valuations cached, and a column -> rows
-    index says which rows a pivot touches.
+    The system comes as its rows: rows maps a row key to {column: entry},
+    nonzero entries only, and vals maps it to {column: val_p(entry)}; both
+    are consumed. Each target is a dict row key -> rational. Sparse Gaussian
+    elimination over the valuation ring Z_(p): a column -> rows index says
+    which rows a pivot touches, and every target is carried along as one
+    more right-hand side.
 
     Invariant: every pivot is an entry of globally minimal valuation among
     the active rows. Subtracting f * (pivot row) with val(f) >= 0 leaves
@@ -381,23 +395,26 @@ def _p_integral_solvable(cols, target, p: int) -> bool:
     The pivot is in particular minimal in its own row, so once its column is
     cleared, zeroing the rest of the pivot row is a column operation with
     p-integral multipliers: a unimodular change of variables that touches
-    neither b nor any other row. Dropping the pivot row from the active set
-    stands for it. The system ends diagonal, so it is solvable iff
-    val(b) >= val(pivot) on each pivot row and b = 0 on every row left
-    without entries; each is checked as soon as that row's b is final.
+    neither a target nor any other row. Dropping the pivot row from the
+    active set stands for it. The system ends diagonal, so a target b is
+    solvable iff val(b) >= val(pivot) on each pivot row and b = 0 on every
+    row left without entries; each is checked as soon as that row's b is
+    final. A target is dropped at its first failure and is solvable once
+    what is left of it is zero; the elimination stops when every target is
+    decided.
     """
-    rows: dict = {}   # row -> {col: entry}
-    vals: dict = {}   # row -> {col: val_p(entry)}
-    col_rows = [set() for _ in cols]
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            if c:
-                rows.setdefault(i, {})[j] = c
-                vals.setdefault(i, {})[j] = val_p(c, p)
-                col_rows[j].add(i)
-    b = {i: c for i, c in target.items() if c}
-    if any(i not in rows for i in b):
-        return False
+    answers = [True] * len(targets)
+    live = {}
+    for k, target in enumerate(targets):
+        b = {i: c for i, c in target.items() if c}
+        if any(i not in rows for i in b):
+            answers[k] = False
+        elif b:
+            live[k] = b
+    col_rows: dict = {}
+    for i, row in rows.items():
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
 
     def row_min(rv):
         j = min(rv, key=rv.__getitem__)
@@ -405,7 +422,7 @@ def _p_integral_solvable(cols, target, p: int) -> bool:
 
     rowmin = {i: row_min(rv) for i, rv in vals.items()}
     floor = None
-    while rowmin:
+    while live and rowmin:
         best = None
         for i, (v, j) in rowmin.items():
             if best is None or v < best[0]:
@@ -419,9 +436,16 @@ def _p_integral_solvable(cols, target, p: int) -> bool:
         for j in prow:
             col_rows[j].discard(pi)
         piv = prow[pj]
-        bp = b.get(pi)
-        if bp and val_p(bp, p) < floor:
-            return False
+        carried = []
+        for k, b in list(live.items()):
+            bp = b.pop(pi, None)
+            if bp is None:
+                continue
+            if val_p(bp, p) < floor:
+                answers[k] = False
+                del live[k]
+            else:
+                carried.append((b, bp))
         for i in list(col_rows[pj]):
             row, rv = rows[i], vals[i]
             f = row[pj] / piv
@@ -433,7 +457,7 @@ def _p_integral_solvable(cols, target, p: int) -> bool:
                 else:
                     del row[j], rv[j]
                     col_rows[j].discard(i)
-            if bp:
+            for b, bp in carried:
                 nb = b.get(i, 0) - f * bp
                 if nb:
                     b[i] = nb
@@ -443,54 +467,91 @@ def _p_integral_solvable(cols, target, p: int) -> bool:
                 rowmin[i] = row_min(rv)
             else:
                 del rows[i], vals[i], rowmin[i]
-                if i in b:
-                    return False
-    return True
+                for k in [k for k, b in live.items() if i in b]:
+                    answers[k] = False
+                    del live[k]
+        for k in [k for k, b in live.items() if not b]:
+            del live[k]
+    return answers
 
 
-def _monomial_multiples(terms, monomials, cap):
-    """The nonzero products m * g for m in monomials, as term dicts, where g
-    has the given terms: each exponent of g is shifted by m and terms above
-    the degree cap are dropped, as TruncPoly multiplication would."""
-    graded = [(e, sum(e), c) for e, c in terms.items()]
-    gmin = min(d for _, d, _ in graded)
-    out = []
-    for m in monomials:
-        room = cap - sum(m)
-        if room >= gmin:
-            out.append({tuple(a + b for a, b in zip(e, m)): c
-                        for e, d, c in graded if d <= room})
-    return out
+def _shifted_rows(generators, ring: TruncPolyRing, p: int):
+    """The rows of the membership system for the generators (nonzero
+    elements of ring), in the shape _p_integral_solvable takes. Its columns
+    are the products m * g for each generator g and each monomial m of the
+    ring with m * g inside the degree cap: each term of g is shifted by m,
+    and terms above the cap are dropped, as TruncPoly multiplication would.
+    Each term's valuation is computed once per generator."""
+    cap = ring.cap
+    monomials = [(m, sum(m)) for m in itertools.product(
+        range(cap + 1), repeat=len(ring.variables)) if sum(m) <= cap]
+    rows: dict = {}
+    vals: dict = {}
+    j = 0
+    for g in generators:
+        terms = [(e, sum(e), c, val_p(c, p)) for e, c in g.terms.items()]
+        low = min(d for _, d, _, _ in terms)
+        for m, dm in monomials:
+            room = cap - dm
+            if room < low:
+                continue
+            for e, d, c, v in terms:
+                if d <= room:
+                    i = tuple(map(operator.add, e, m))
+                    row = rows.get(i)
+                    if row is None:
+                        row = rows[i] = {}
+                        vals[i] = {}
+                    row[j] = c
+                    vals[i][j] = v
+            j += 1
+    return rows, vals
 
 
-def ideal_contains(generators, x, p: Prime, ring) -> bool:
-    """x in the ideal (generators) of the p-local base ring?
+def ideal_contains_all(generators, xs, p: Prime, ring) -> list:
+    """[x in the ideal (generators) for x in xs], in the p-local base ring.
 
-    The base is a truncated polynomial ring, and QQ stands for the one with
-    no parameters, the p-local integers. We solve for p-integral cofactors:
-    the columns are all monomial multiples of the generators inside the
-    degree cap (with no parameters, the generators themselves).
+    The base is A = Z_(p)[t_1..t_k]/(deg > cap), a truncated polynomial
+    ring, and QQ stands for the one with no parameters, the p-local
+    integers. A is local with maximal ideal (p, t_1, ..., t_k), so its units
+    are the elements that pass unit_at_closed_point. Hence, when the
+    generators and x are p-integral: if some generator is a unit the ideal
+    is A and contains x; if none is, the ideal lies in the maximal ideal and
+    contains no unit x. The rule needs that integrality guard: at p = 3,
+    (1/3) contains 1 but (1) does not contain 1/3. Every x the rule leaves
+    open is decided by one elimination shared by all of them, which solves
+    for p-integral cofactors; its columns are the monomial multiples of the
+    generators inside the degree cap (_shifted_rows; with no parameters,
+    the generators themselves).
     """
     p = p if isinstance(p, Prime) else Prime(int(p))
     if isinstance(ring, RationalField):
         ring = TruncPolyRing((), 0)
     if not isinstance(ring, TruncPolyRing):
         raise RingMismatch(f"no membership test over {ring}")
-    x = ring.coerce(x)
-    if not x.terms:
-        return True
-    cap = ring.cap
-    nv = len(ring.variables)
-    monomials = [e for e in itertools.product(range(cap + 1), repeat=nv)
-                 if sum(e) <= cap]
-    cols = []
-    for g in generators:
-        g = ring.coerce(g)
-        if g.terms:
-            cols.extend(_monomial_multiples(g.terms, monomials, cap))
-    if not cols:
-        return False
-    return _p_integral_solvable(cols, x.terms, p.p)
+    gens = [g for g in map(ring.coerce, generators) if g.terms]
+    xs = [ring.coerce(x) for x in xs]
+    # 0 lies in every ideal, and nothing else in the zero ideal
+    answers = [None if x.terms and gens else not x.terms for x in xs]
+    if gens and all(_p_integral(g, p) for g in gens):
+        unit = any(unit_at_closed_point(g, p) for g in gens)
+        for k, x in enumerate(xs):
+            if (answers[k] is None and (unit or unit_at_closed_point(x, p))
+                    and _p_integral(x, p)):
+                answers[k] = unit
+    pending = [k for k, a in enumerate(answers) if a is None]
+    if pending:
+        solved = _p_integral_solvable(*_shifted_rows(gens, ring, p.p),
+                                      [xs[k].terms for k in pending], p.p)
+        for k, ok in zip(pending, solved):
+            answers[k] = ok
+    return answers
+
+
+def ideal_contains(generators, x, p: Prime, ring) -> bool:
+    """x in the ideal (generators) of the p-local base ring? The one-target
+    case of ideal_contains_all."""
+    return ideal_contains_all(generators, [x], p, ring)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +603,8 @@ def unit_at_closed_point(x, p: Prime) -> bool:
     """Is x, a rational or a truncated polynomial, a unit of the p-local
     base at its closed point (every parameter set to 0, then mod p)?"""
     c = x.constant_term() if isinstance(x, TruncPoly) else x
-    return val_p(c, p) == 0
+    q = int(p)
+    return bool(c.numerator % q and c.denominator % q)
 
 
 def hazewinkel_generators(ells, p: Prime):

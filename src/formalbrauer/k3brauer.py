@@ -437,6 +437,13 @@ def brauer_height(f: QuarticForm, p, h_max: int) -> HeightResult:
     the extractor's setup is shared and no beta past the deciding n is
     computed.
     """
+    return _height_with_beta_p(f, p, h_max)[0]
+
+
+def _height_with_beta_p(f: QuarticForm, p, h_max: int):
+    """(brauer_height(f, p, h_max), beta_p), from one extraction: beta_p is
+    v_1 = p l_1, the first generator the height reads. The CLI's height
+    rows print both."""
     p = p if isinstance(p, Prime) else Prime(int(p))
     if h_max < 1:
         raise ValueError("h_max must be >= 1")
@@ -446,9 +453,12 @@ def brauer_height(f: QuarticForm, p, h_max: int) -> HeightResult:
     qs = [p.p ** n for n in range(1, h_max + 1)]
     ells = (rat(b, q) for q, b in zip(qs, beta_coefficients(f, qs)))
     for n, v in enumerate(hazewinkel_generators(ells, p), start=1):
+        if n == 1:
+            beta_p = int(v)
         if unit_at_closed_point(v, p):
-            return HeightResult("finite", n, first_nonzero_degree=qs[n - 1])
-    return HeightResult("at_least", h_max)
+            return (HeightResult("finite", n, first_nonzero_degree=qs[n - 1]),
+                    beta_p)
+    return HeightResult("at_least", h_max), beta_p
 
 
 def ordinarity_criterion(f: QuarticForm, p) -> bool:

@@ -44,6 +44,7 @@ from .fgl import (
     hazewinkel_generators,
     hazewinkel_log,
     ideal_contains,
+    ideal_contains_all,
     log_from_fgl,
     standard_law,
     unit_at_closed_point,
@@ -184,10 +185,13 @@ def _linear_fresh_parameter(R: RingPresentation, x: TruncPoly, consumed: set):
 def _torsion_witness(R: RingPresentation, gens, x):
     """Search for nonzero y with x*y in (gens) and y itself outside (gens).
     Candidates are p^a (a <= 6, so Z_(p)/(p^k) gets its witness p^(k-1) for
-    every k <= 7) times monomials up to half the cap; with no parameters the
-    only monomial is 1. A witness is only accepted when the product x*y did
-    not hit the truncation boundary; otherwise the vanishing could be an
-    artifact of the window."""
+    every k <= 7) times monomials up to half the cap, in the order of a,
+    then of the monomial; with no parameters the only monomial is 1. A
+    witness is only accepted when the product x*y did not hit the truncation
+    boundary; otherwise the vanishing could be an artifact of the window.
+    Every candidate and every product kept is asked about in one
+    ideal_contains_all call, so the search costs at most one elimination;
+    the witness is the first candidate that qualifies."""
     ring = R.base_ring
     half = R.cap // 2
     exps = [e for e in _iproduct(range(half + 1), repeat=len(ring.variables))
@@ -195,17 +199,14 @@ def _torsion_witness(R: RingPresentation, gens, x):
     x = ring.coerce(x)
     if x.truncated:
         return None  # the element's own tail is unknown; stay honest
-    for a in range(7):
-        for e in exps:
-            y = ring.monomial(e, R.p ** a)
-            if _contains(R, gens, y):
-                continue
-            prod = x * y
-            if prod.truncated:
-                continue
-            if _contains(R, gens, prod):
-                return y
-    return None
+    ys = [ring.monomial(e, R.p ** a) for a in range(7) for e in exps]
+    prods = {k: prod for k, prod in enumerate(x * y for y in ys)
+             if not prod.truncated}
+    answers = ideal_contains_all(gens, ys + list(prods.values()), R.prime,
+                                 ring)
+    prod_in = dict(zip(prods, answers[len(ys):]))
+    return next((ys[k] for k in prods if prod_in[k] and not answers[k]),
+                None)
 
 
 def check_regular_sequence(R: RingPresentation, elems) -> list:
@@ -222,7 +223,15 @@ def check_regular_sequence(R: RingPresentation, elems) -> list:
         (a coordinate change makes the element that parameter);
       * explicit torsion found by the bounded search: Zerodivisor;
 
-    and Unknown with a reason for everything else."""
+    and Unknown with a reason for everything else.
+
+    The base is local with maximal ideal (p, t_1, ..., t_k), so while the
+    relations and elements are p-integral the collapse test ("1 in the
+    relations") and each unit test need no elimination: the ideal holds 1
+    exactly when one of its generators is a unit at the closed point
+    (ideal_contains_all, which eliminates whenever p sits in some
+    denominator). What is left costs at most one elimination per element
+    for its zero test and one for its whole torsion search."""
     verdicts = []
     gens = [R.coerce(r) for r in R.relations]
     consumed: set = set()

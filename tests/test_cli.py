@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from formalbrauer import cli
+from formalbrauer import cli, k3brauer
 from formalbrauer.errors import NonIntegral
 from formalbrauer.k3brauer import beta_coefficient, named_quartic
 
@@ -113,6 +113,29 @@ def test_height_grid_matches_frozen_output(label, capsys):
     assert capsys.readouterr().out == cell["stdout"]
 
 
+def test_height_grid_in_parallel_matches_frozen_output(capsys):
+    for label, cell in sorted(HEIGHT_GRID.items()):
+        assert run(cell["argv"] + ["--jobs", "2"]) == 0, label
+        assert capsys.readouterr().out == cell["stdout"], label
+
+
+def test_height_cell_builds_one_extractor(monkeypatch, capsys):
+    # beta_p mod p is read off the extraction the height already makes
+    built = []
+
+    class Counting(k3brauer.BetaExtractor):
+        def __init__(self, f):
+            built.append(f.name)
+            super().__init__(f)
+
+    monkeypatch.setattr(k3brauer, "BetaExtractor", Counting)
+    assert run(["height", "--quartic", "fermat", "--quartic", "fermat-cross",
+                "--primes", "3,5,13", "--hmax", "2", "--format", "json",
+                "--no-timestamp"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 6
+    assert sorted(built) == ["fermat"] * 3 + ["fermat-cross"] * 3
+
+
 def test_height_reads_quartic_file(tmp_path, capsys):
     qf = tmp_path / "mine.quartic"
     qf.write_text("# diagonal\n4 0 0 0 1\n0 4 0 0 1\n0 0 4 0 1\n0 0 0 4 2\n")
@@ -192,7 +215,7 @@ def test_argparse_usage_problems_exit_one(capsys):
 def test_nonintegral_abort_exits_two(monkeypatch, capsys):
     def boom(*a, **k):
         raise NonIntegral("synthetic abort", degree=9, value=None)
-    monkeypatch.setattr(cli, "brauer_height", boom)
+    monkeypatch.setattr(cli, "_height_with_beta_p", boom)
     code = run(["height", "--quartic", "fermat", "--primes", "5"])
     assert code == 2
     assert "integrality abort" in capsys.readouterr().err

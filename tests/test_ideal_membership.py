@@ -1,7 +1,9 @@
 """p-local ideal membership: the sparse minimum-valuation elimination in
-fgl._p_integral_solvable against the dense elimination it replaced, kept
-here as the oracle; the monomial-multiple columns of ideal_contains against
-TruncPoly products; and frozen landweber/certify verdicts."""
+fgl._p_integral_solvable, one target and several, against the dense
+elimination it replaced, kept here as the oracle; the rows
+fgl._shifted_rows builds against TruncPoly products; the closed-point rule
+of ideal_contains_all against the full elimination; and frozen
+landweber/certify verdicts."""
 
 import itertools
 import json
@@ -11,7 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from formalbrauer import cli, fgl
 from formalbrauer.coefficients import QQ, Prime, TruncPolyRing, rat, val_p
-from formalbrauer.fgl import hazewinkel_log, ideal_contains, p_series
+from formalbrauer.fgl import (
+    hazewinkel_log,
+    ideal_contains,
+    ideal_contains_all,
+    p_series,
+)
 from formalbrauer.landweber import RingPresentation, landweber_check
 
 
@@ -75,8 +82,33 @@ def dense_p_integral_solvable(cols, target, p: int, monomials) -> bool:
     return True
 
 
-def _rows_of(cols, target):
-    return sorted(set(target).union(*cols))
+def _rows_of(cols, *targets):
+    return sorted(set().union(*targets, *cols))
+
+
+def rows_of_columns(cols, p: int):
+    """The (rows, vals) that fgl._p_integral_solvable takes, for a system
+    given by its column dicts."""
+    rows, vals = {}, {}
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            if c:
+                rows.setdefault(i, {})[j] = c
+                vals.setdefault(i, {})[j] = val_p(c, p)
+    return rows, vals
+
+
+def columns_of_rows(rows):
+    """The column dicts of a system given by its rows, in column order."""
+    cols = {}
+    for i, row in rows.items():
+        for j, c in row.items():
+            cols.setdefault(j, {})[i] = c
+    return [cols[j] for j in sorted(cols)]
+
+
+def solvable(cols, targets, p: int) -> list:
+    return fgl._p_integral_solvable(*rows_of_columns(cols, p), targets, p)
 
 
 # ---------------------------------------------------------------------------
@@ -90,31 +122,31 @@ def _unit(draw, p, hi):
     return u if draw(st.booleans()) else -u
 
 
-@st.composite
-def systems(draw):
-    """(p, cols, target, kind). Entries are u/w * p^k with k in -2..3, so
-    p sits in some denominators; columns may be empty; the target is zero,
-    arbitrary, or a combination of the columns with p-integral or with
-    non-p-integral coefficients."""
-    p = draw(st.sampled_from((3, 5, 7)))
-    nrows = draw(st.integers(1, 7))
-    ncols = draw(st.integers(0, 7))
+def _entry(draw, p):
+    """u/w * p^k with k in -2..3."""
+    k = draw(st.integers(-2, 3))
+    return rat(_unit(draw, p, 40) * p ** max(k, 0),
+               _unit(draw, p, 9) * p ** max(-k, 0))
 
-    def entry():
-        k = draw(st.integers(-2, 3))
-        return rat(_unit(draw, p, 40) * p ** max(k, 0),
-                   _unit(draw, p, 9) * p ** max(-k, 0))
 
+def _columns(draw, p, nrows):
     cols = []
-    for _ in range(ncols):
+    for _ in range(draw(st.integers(0, 7))):
         rows = draw(st.sets(st.integers(0, nrows - 1), max_size=nrows))
-        cols.append({i: entry() for i in sorted(rows)})
-    kind = draw(st.sampled_from(("zero", "free", "integral", "nonintegral")))
+        cols.append({i: _entry(draw, p) for i in sorted(rows)})
+    return cols
+
+
+def _target(draw, p, cols, rows_up_to, kind):
+    """A target of the given kind: zero; arbitrary on rows 0..rows_up_to-1;
+    or a combination of the columns with p-integral or with non-p-integral
+    coefficients."""
     if kind == "zero" or (not cols and kind != "free"):
-        return p, cols, {}, "zero"
+        return {}, "zero"
     if kind == "free":
-        rows = draw(st.sets(st.integers(0, nrows - 1), max_size=nrows))
-        return p, cols, {i: entry() for i in sorted(rows)}, kind
+        rows = draw(st.sets(st.integers(0, rows_up_to - 1),
+                            max_size=rows_up_to))
+        return {i: _entry(draw, p) for i in sorted(rows)}, kind
     ys = []
     for _ in cols:
         k = draw(st.integers(0, 2) if kind == "integral"
@@ -125,26 +157,78 @@ def systems(draw):
     for y, col in zip(ys, cols):
         for i, c in col.items():
             target[i] = target.get(i, 0) + y * c
-    return p, cols, {i: c for i, c in target.items() if c}, kind
+    return {i: c for i, c in target.items() if c}, kind
+
+
+KINDS = ("zero", "free", "integral", "nonintegral")
+
+
+@st.composite
+def systems(draw):
+    """(p, cols, target, kind). Entries are u/w * p^k with k in -2..3, so
+    p sits in some denominators; columns may be empty; the target is zero,
+    arbitrary, or a combination of the columns with p-integral or with
+    non-p-integral coefficients."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    nrows = draw(st.integers(1, 7))
+    cols = _columns(draw, p, nrows)
+    kind = draw(st.sampled_from(KINDS))
+    return (p, cols, *_target(draw, p, cols, nrows, kind))
+
+
+@st.composite
+def multi_target_systems(draw):
+    """(p, cols, [(target, kind)]): one system with up to six right-hand
+    sides of the kinds systems() draws. A free target may also use row
+    nrows, which no column touches."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    nrows = draw(st.integers(1, 7))
+    cols = _columns(draw, p, nrows)
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=6))
+    return p, cols, [_target(draw, p, cols, nrows + 1, kind)
+                     for kind in kinds]
 
 
 @settings(max_examples=200, deadline=None)
 @given(systems())
 def test_sparse_elimination_matches_dense_oracle(system):
     p, cols, target, kind = system
-    got = fgl._p_integral_solvable(cols, target, p)
+    [got] = solvable(cols, [target], p)
     assert got == dense_p_integral_solvable(cols, target, p,
                                             _rows_of(cols, target))
     if kind in ("zero", "integral"):
         assert got
 
 
+@settings(max_examples=150, deadline=None)
+@given(multi_target_systems())
+@example((3, [{0: rat(3)}], [({0: rat(1)}, "free"), ({1: rat(1)}, "free"),
+                            ({0: rat(6)}, "integral")]))
+@example((3, [{0: rat(1), 1: rat(1)}, {0: rat(1), 1: rat(4)}],
+          [({1: rat(1)}, "free"), ({}, "zero"), ({1: rat(3)}, "free"),
+           ({2: rat(3)}, "free")]))
+def test_multi_target_elimination_matches_dense_oracle(system):
+    """Each answer of one multi-target elimination is the oracle's answer
+    for that target alone, whatever the other targets do: fail at a pivot
+    (1 against the column (3)), sit on a row no column touches, or be
+    zero."""
+    p, cols, cases = system
+    targets = [t for t, _ in cases]
+    got = solvable(cols, targets, p)
+    rows = _rows_of(cols, *targets)
+    assert got == [dense_p_integral_solvable(cols, t, p, rows)
+                   for t in targets]
+    assert all(ok for ok, (_, kind) in zip(got, cases)
+               if kind in ("zero", "integral"))
+
+
 def test_empty_columns_and_zero_target():
-    assert fgl._p_integral_solvable([], {}, 3)
-    assert fgl._p_integral_solvable([{}, {}], {}, 5)
-    assert not fgl._p_integral_solvable([{}, {0: rat(3)}], {1: rat(1)}, 3)
-    assert not fgl._p_integral_solvable([{0: rat(3)}], {0: rat(1)}, 3)
-    assert fgl._p_integral_solvable([{0: rat(1, 3)}], {0: rat(1)}, 3)
+    assert solvable([], [{}], 3) == [True]
+    assert solvable([{}, {}], [{}], 5) == [True]
+    assert solvable([{}, {0: rat(3)}], [{1: rat(1)}], 3) == [False]
+    assert solvable([{0: rat(3)}], [{0: rat(1)}], 3) == [False]
+    assert solvable([{0: rat(1, 3)}], [{0: rat(1)}], 3) == [True]
+    assert solvable([{0: rat(3)}], [], 3) == []
 
 
 def valuation_contains(generators, x, p: int) -> bool:
@@ -191,8 +275,7 @@ def test_cancellation_raises_a_cached_valuation():
     """y0 + y1 = 0, y0 + 4 y1 = b: eliminating y0 leaves 3 y1 = b, whose
     entry has valuation 1 although both terms it came from have 0."""
     cols = [{0: rat(1), 1: rat(1)}, {0: rat(1), 1: rat(4)}]
-    assert not fgl._p_integral_solvable(cols, {1: rat(1)}, 3)
-    assert fgl._p_integral_solvable(cols, {1: rat(3)}, 3)
+    assert solvable(cols, [{1: rat(1)}, {1: rat(3)}], 3) == [False, True]
 
 
 def test_pivot_rule_regression_fixture():
@@ -210,7 +293,7 @@ def test_pivot_rule_regression_fixture():
         {2: r(-234), 3: r(-144, 7)},
     ]
     target = {2: r(-243), 3: r(-7), 4: r(-12)}
-    assert fgl._p_integral_solvable(cols, target, 3) is False
+    assert solvable(cols, [target], 3) == [False]
     assert dense_p_integral_solvable(cols, target, 3, range(7)) is False
 
 
@@ -221,13 +304,17 @@ def test_pivot_rule_regression_fixture():
 
 def test_landweber_systems_match_dense_oracle(monkeypatch):
     """Every system the Hazewinkel regular-sequence check and the ideal
-    chain pose gets the oracle's answer."""
+    chain pose gets the oracle's answer for each of its targets, and the
+    valuations _shifted_rows cached are those of the entries."""
     calls = []
     sparse = fgl._p_integral_solvable
 
-    def recording(cols, target, p):
-        got = sparse(cols, target, p)
-        calls.append((cols, target, p, got))
+    def recording(rows, vals, targets, p):
+        assert vals == {i: {j: val_p(c, p) for j, c in row.items()}
+                        for i, row in rows.items()}
+        cols = columns_of_rows(rows)   # before the kernel consumes rows
+        got = sparse(rows, vals, targets, p)
+        calls.append((cols, targets, p, got))
         return got
 
     monkeypatch.setattr(fgl, "_p_integral_solvable", recording)
@@ -245,31 +332,135 @@ def test_landweber_systems_match_dense_oracle(monkeypatch):
         rhs.append(ps.v(n))
         assert all(ideal_contains(rhs, x, three, ring) for x in lhs)
         assert all(ideal_contains(lhs, x, three, ring) for x in rhs)
-    assert {got for *_, got in calls} == {True, False}
-    for cols, target, p, got in calls:
-        assert got == dense_p_integral_solvable(cols, target, p,
-                                                _rows_of(cols, target))
+    assert {ok for *_, got in calls for ok in got} == {True, False}
+    for cols, targets, p, got in calls:
+        rows = _rows_of(cols, *targets)
+        assert got == [dense_p_integral_solvable(cols, t, p, rows)
+                       for t in targets]
 
 
 # ---------------------------------------------------------------------------
-# monomial-multiple columns
+# rows built from generator terms
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("params,cap", [(("t",), 7), (("t1", "t2"), 5),
                                        (("t1", "t2", "t3"), 4)])
 def test_shifted_columns_equal_products(params, cap):
+    """The columns of the rows _shifted_rows builds are the nonzero
+    products m * g, generator after generator, in monomial order."""
     ring = TruncPolyRing(params, cap)
     ts = [ring.var(t) for t in params]
     g = ring.from_int(3) + ts[0] * rat(2, 5)
     for k, t in enumerate(ts):
         g = g + t * t * ts[-1] * (k + 1) - t ** 3 * rat(1, 9)
+    h = ts[-1] * ts[0] * 6 + ts[0] ** 3 * rat(5, 3)
     monomials = [e for e in itertools.product(range(cap + 1),
                                               repeat=len(params))
                  if sum(e) <= cap]
-    products = [(ring.monomial(m, 1) * g).terms for m in monomials]
-    assert fgl._monomial_multiples(g.terms, monomials, cap) == \
-        [t for t in products if t]
+    products = [(ring.monomial(m, 1) * gen).terms
+                for gen in (g, h) for m in monomials]
+    rows, vals = fgl._shifted_rows([g, h], ring, 3)
+    assert columns_of_rows(rows) == [t for t in products if t]
+    assert vals == {i: {j: val_p(c, 3) for j, c in row.items()}
+                    for i, row in rows.items()}
+
+
+# ---------------------------------------------------------------------------
+# the closed-point rule against the full elimination
+# ---------------------------------------------------------------------------
+
+
+def eliminated(generators, x, p: int, ring) -> bool:
+    """Membership by the elimination alone, without the closed-point
+    rule."""
+    gens = [g for g in map(ring.coerce, generators) if g.terms]
+    x = ring.coerce(x)
+    if not x.terms or not gens:
+        return not x.terms
+    [ok] = fgl._p_integral_solvable(*fgl._shifted_rows(gens, ring, p),
+                                    [x.terms], p)
+    return ok
+
+
+@st.composite
+def integral_elements(draw, ring, p):
+    """A p-integral element of ring with up to four terms; its constant
+    term, when there is one, is a unit or a multiple of p."""
+    monos = [e for e in itertools.product(range(ring.cap + 1),
+                                          repeat=len(ring.variables))
+             if sum(e) <= ring.cap]
+    terms = draw(st.dictionaries(st.sampled_from(monos),
+                                 st.integers(-2, 2), max_size=4))
+    x = ring.zero
+    for e, k in terms.items():
+        c = rat(_unit(draw, p, 20) * p ** max(k, 0), _unit(draw, p, 9))
+        x = x + ring.monomial(e, c)
+    return x
+
+
+@st.composite
+def integral_memberships(draw):
+    """(p, ring, generators, targets): p-integral generators over Z_(3),
+    Z_(3)[t] or Z_(3)[t1,t2] at a small cap, made of relations (possibly
+    none) and elements; the targets are 1, the generators' first element
+    shifted by a unit, and random p-integral elements."""
+    p = 3
+    params = draw(st.sampled_from(((), ("t",), ("t1", "t2"))))
+    ring = TruncPolyRing(params, draw(st.integers(1, 4)))
+    relations = draw(st.lists(integral_elements(ring, p), max_size=2))
+    elements = draw(st.lists(integral_elements(ring, p), min_size=1,
+                             max_size=3))
+    others = draw(st.lists(integral_elements(ring, p), max_size=3))
+    targets = [ring.one, elements[0] + ring.from_int(_unit(draw, p, 9)),
+               *others]
+    return p, ring, relations + elements, targets
+
+
+ZP = TruncPolyRing((), 0)
+ZPT = TruncPolyRing(("t",), 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(integral_memberships())
+@example((3, ZP, [rat(1, 3)], [rat(1)]))
+@example((3, ZP, [rat(1)], [rat(1, 3)]))
+@example((3, ZP, [rat(3)], [rat(1, 3), rat(1), rat(9)]))
+@example((3, ZPT, [ZPT.var("t") * rat(1, 3)], [ZPT.var("t"), ZPT.one]))
+@example((3, ZPT, [ZPT.one + ZPT.var("t") * rat(1, 3)],
+          [ZPT.one, ZPT.var("t"), ZPT.var("t") * rat(1, 9)]))
+def test_closed_point_rule_matches_elimination(case):
+    p, ring, gens, targets = case
+    assert ideal_contains_all(gens, targets, p, ring) == \
+        [eliminated(gens, x, p, ring) for x in targets]
+    assert [ideal_contains(gens, x, p, ring) for x in targets] == \
+        [eliminated(gens, x, p, ring) for x in targets]
+
+
+def test_closed_point_rule_skips_the_elimination(monkeypatch):
+    """p-integral unit questions are answered without an elimination; a
+    non-integral generator or target still gets one."""
+    calls = []
+    sparse = fgl._p_integral_solvable
+
+    def counting(rows, vals, targets, p):
+        calls.append(len(targets))
+        return sparse(rows, vals, targets, p)
+
+    monkeypatch.setattr(fgl, "_p_integral_solvable", counting)
+    ring = TruncPolyRing(("t",), 4)
+    t, three = ring.var("t"), ring.from_int(3)
+    assert ideal_contains_all([three, t], [ring.one, t + 5], 3, ring) == \
+        [False, False]
+    assert ideal_contains_all([three, t + 2], [ring.one, t ** 3], 3, ring) \
+        == [True, True]
+    assert calls == []
+    assert ideal_contains_all([three, t], [ring.one, t * t], 3, ring) == \
+        [False, True]
+    assert calls == [1]
+    assert ideal_contains([rat(1, 3)], 1, 3, QQ)
+    assert not ideal_contains([1], rat(1, 3), 3, QQ)
+    assert calls == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
