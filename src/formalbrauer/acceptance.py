@@ -160,7 +160,7 @@ def check_p_series_routes(profile: str):
     """The logarithm route and the p-fold iterate produce the same p-series,
     and for the built-in quartics the height read from v_p(beta_(p^n))
     (brauer_height) equals the one read from the logarithm route's p-series
-    reduced mod p, at windows p^2 + 1."""
+    at the closed point, at windows p^2 + 1."""
     primes = _caps(profile)["route_primes"]
     rows = []
     ok = True
@@ -181,7 +181,7 @@ def check_p_series_routes(profile: str):
             f = named_quartic(qname)
             ps = p_series(stienstra_log(f, window).log, Prime(p), window)
             same_heights = same_heights and (
-                brauer_height(f, p, 2) == height(ps.reduce(), 2))
+                brauer_height(f, p, 2) == height(ps, 2))
         ok = ok and same_mult and same_hz and same_heights
         rows.append(f"p={p}: multiplicative {same_mult}, hazewinkel {same_hz}"
                     f", quartic heights through {window} {same_heights}")
@@ -199,7 +199,7 @@ def check_elliptic_oracle(profile: str):
         for p in primes:
             verdict = elliptic_ss_oracle(coeffs, Prime(p))
             ps = p_series(log, Prime(p), p + 1)
-            h = height(ps.reduce(), 1)
+            h = height(ps, 1)
             agree = (h.is_finite and h.value == 1) == (verdict == "ordinary")
             ok = ok and agree
             rows.append(f"{cname}@{p}: {verdict}/{h.kind}")
@@ -244,7 +244,7 @@ def check_coordinate_independence(profile: str):
     p, cap = 3, 10
     base_law = standard_law("multiplicative", QQ, cap)
     base_ps = p_series(log_from_fgl(base_law), Prime(p), cap)
-    base_h = height(base_ps.reduce(), 1)
+    base_h = height(base_ps, 1)
     base_gens = [base_ps.a(i) for i in range(p)]
     ok = base_h.is_finite and base_h.value == 1
     rows = [f"base: {base_h.describe()}"]
@@ -259,7 +259,7 @@ def check_coordinate_independence(profile: str):
         u = Series(QQ, ("T",), cap, coeffs)
         conj = base_law.conjugate(u)
         ps = p_series(log_from_fgl(conj), Prime(p), cap)
-        h = height(ps.reduce(), 1)
+        h = height(ps, 1)
         gens = [ps.a(i) for i in range(p)]
         same_height = h.kind == base_h.kind and h.value == base_h.value
         same_ideal = _mutually_contained(gens, base_gens, Prime(p), QQ)

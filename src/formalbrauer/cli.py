@@ -247,6 +247,8 @@ def cmd_landweber(ns) -> int:
         raise ValueError(
             "p = 2 is not supported: odd characteristic only")
     p = Prime(ns.p)
+    if ns.scenario and (ns.ring or ns.law):
+        raise ValueError("--scenario cannot be combined with --ring or --law")
     if ns.scenario:
         R, source, default_hmax = builtin_scenario(ns.scenario, p, cap=ns.cap)
         h_max = ns.hmax if ns.hmax is not None else default_hmax
@@ -293,6 +295,9 @@ def cmd_landweber(ns) -> int:
 
 
 def cmd_certify(ns) -> int:
+    if ns.rational and (ns.ring or ns.p is not None or ns.cap is not None):
+        raise ValueError(
+            "--rational cannot be combined with --ring, --p or --cap")
     f = _load_quartic(ns.quartic)
     if ns.rational:
         cert = rational_certificate(f)

@@ -1,27 +1,27 @@
 """Exact coefficient arithmetic.
 
-Provides the coefficient rings the series layer is generic over:
+Provides the two coefficient rings the series layer is generic over, both
+Q-algebras:
 
 * the rational field, fractions.Fraction (named `rat` here),
-* residue rings Z/p^M for an odd prime p,
-* sparse multivariate polynomial rings truncated at a total degree.
+* sparse multivariate polynomial rings over Q truncated at a total degree.
 
-Everything is exact. Heights and exactness verdicts downstream are detected by
-exact vanishing of coefficients, so no floating point appears anywhere.
+Everything is exact, so no floating point appears anywhere. p-locality is
+not a ring of its own: downstream code reads p-integrality and units at the
+closed point of Z_(p)[t_1..t_k] off these exact coefficients.
 
 A coefficient ring is a plain object with the small method set the series
 layer calls: zero/one/from_int/coerce, is_zero/eq, dot, div_int,
 is_unit/invert. Elements themselves carry the arithmetic operators
-(rationals and TruncPoly natively, residues via a thin wrapper), so generic
-code does its arithmetic infix.
+(rationals and TruncPoly natively), so generic code does its arithmetic
+infix.
 
 dot(pairs) is the sum of a*b over an iterable of (a, b) pairs, the inner
 loop of a series product. Each ring sums in its own way: rationals as one
 integer numerator over the lcm of the product denominators, normalised to a
-Fraction once at the end; residues as plain ints reduced mod p^M once;
-truncated polynomials into one term dict, each monomial's sum kept as a
-numerator over a common denominator in the same way, that becomes one
-TruncPoly at the end.
+Fraction once at the end; truncated polynomials into one term dict, each
+monomial's sum kept as a numerator over a common denominator in the same
+way, that becomes one TruncPoly at the end.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add
 
-from .errors import DivisionFailure, NonIntegral, NotAUnit, RingMismatch
+from .errors import DivisionFailure, NotAUnit, RingMismatch
 
 # exact rational from ints, a rational, or a 'num/den' string
 rat = Fraction
@@ -178,160 +178,6 @@ class RationalField:
 
 
 QQ = RationalField()
-
-
-class Residue:
-    """Element of Z/p^M. Thin wrapper so infix arithmetic reduces mod p^M."""
-
-    __slots__ = ("ring", "v")
-
-    def __init__(self, ring, v: int):
-        self.ring = ring
-        self.v = v % ring.modulus
-
-    def _match(self, other):
-        if isinstance(other, Residue):
-            if other.ring != self.ring:
-                raise RingMismatch(f"{self.ring} vs {other.ring}")
-            return other.v
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        w = self._match(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return Residue(self.ring, self.v + w)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        w = self._match(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return Residue(self.ring, self.v - w)
-
-    def __rsub__(self, other):
-        w = self._match(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return Residue(self.ring, w - self.v)
-
-    def __mul__(self, other):
-        w = self._match(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return Residue(self.ring, self.v * w)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Residue(self.ring, -self.v)
-
-    def __pow__(self, e: int):
-        return Residue(self.ring, pow(self.v, e, self.ring.modulus))
-
-    def __eq__(self, other):
-        if isinstance(other, Residue):
-            return self.ring == other.ring and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.ring.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring, self.v))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v}"
-
-
-@dataclass(frozen=True)
-class ResidueRing:
-    """Z/p^M for an odd prime p and precision M >= 1."""
-
-    prime: Prime
-    precision: int = 1
-
-    def __post_init__(self):
-        if not isinstance(self.prime, Prime):
-            object.__setattr__(self, "prime", Prime(int(self.prime)))
-        if self.precision < 1:
-            raise ValueError("precision must be >= 1")
-
-    @property
-    def p(self) -> int:
-        return self.prime.p
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.precision
-
-    def __repr__(self):
-        if self.precision == 1:
-            return f"Z/{self.p}"
-        return f"Z/{self.p}^{self.precision}"
-
-    @property
-    def zero(self):
-        return Residue(self, 0)
-
-    @property
-    def one(self):
-        return Residue(self, 1)
-
-    def from_int(self, n):
-        return Residue(self, n)
-
-    def coerce(self, x):
-        if isinstance(x, Residue):
-            if x.ring != self:
-                raise RingMismatch(f"{x.ring} vs {self}")
-            return x
-        if isinstance(x, int):
-            return Residue(self, x)
-        return Residue(self, reduce_mod(x, self))
-
-    def is_zero(self, a):
-        return a.v == 0
-
-    def eq(self, a, b):
-        return self.coerce(a) == self.coerce(b)
-
-    def dot(self, pairs):
-        return Residue(self, sum(a.v * b.v for a, b in pairs))
-
-    def div_int(self, a, n: int):
-        try:
-            inv = pow(n % self.modulus, -1, self.modulus)
-        except ValueError:
-            raise DivisionFailure(
-                f"{n} is not invertible mod {self.modulus}") from None
-        return Residue(self, a.v * inv)
-
-    def is_unit(self, a):
-        return a.v % self.p != 0
-
-    def invert(self, a):
-        try:
-            return Residue(self, pow(a.v, -1, self.modulus))
-        except ValueError:
-            raise NotAUnit(f"{a.v} is not a unit mod {self.modulus}") from None
-
-
-def reduce_mod(x, ring: ResidueRing) -> int:
-    """Image of a p-integral rational in Z/p^M, as a canonical int in
-    [0, p^M). Raises NonIntegral when val_p(x) < 0."""
-    if isinstance(x, int):
-        return x % ring.modulus
-    num, den = x.numerator, x.denominator
-    if den % ring.p == 0:
-        raise NonIntegral(
-            f"{x} is not {ring.p}-integral", value=x)
-    return num * pow(den, -1, ring.modulus) % ring.modulus
 
 
 class TruncPoly:

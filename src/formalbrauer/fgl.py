@@ -31,11 +31,8 @@ from .coefficients import (
     QQ,
     Prime,
     RationalField,
-    Residue,
-    ResidueRing,
     TruncPoly,
     TruncPolyRing,
-    reduce_mod,
     val_p,
 )
 from .errors import (
@@ -235,7 +232,9 @@ def log_from_fgl(law: FormalGroupLaw, cap: int | None = None) -> Logarithm:
 
 @dataclass
 class PSeries:
-    """[p](T) = a_0 T + a_1 T^2 + ... with a_0 = p in the coefficient ring."""
+    """[p](T) = a_0 T + a_1 T^2 + ... with a_0 = p, over the law's own
+    coefficient ring (QQ or a TruncPolyRing); height reads it at the closed
+    point of the p-local base."""
 
     p: Prime
     series: Series
@@ -266,26 +265,6 @@ class PSeries:
     def v(self, n: int):
         """v_n = a_(p^n - 1), the coefficient of T^(p^n); v_0 = p."""
         return self.a(self.p.p ** n - 1)
-
-    def reduce(self) -> "PSeries":
-        """Image in the residue field Z/p of the p-local base. Polynomial
-        coefficients are first checked p-integral termwise, then evaluated at
-        the closed point (parameters -> 0) and reduced mod p."""
-        rng = ResidueRing(self.p)
-        out = {}
-        for (d,), c in sorted(self.series.coeffs.items()):
-            if isinstance(c, Residue):
-                r = c.v % rng.modulus
-            elif _p_integral(c, self.p):
-                r = reduce_mod(c.constant_term() if isinstance(c, TruncPoly)
-                               else c, rng)
-            else:
-                raise NonIntegral(
-                    f"degree-{d} coefficient not {self.p.p}-integral: {c}",
-                    degree=d, value=c)
-            if r:
-                out[(d,)] = Residue(rng, r)
-        return PSeries(self.p, Series(rng, ("T",), self.cap, out))
 
 
 def p_series(source, p: Prime, cap: int) -> PSeries:
@@ -318,7 +297,8 @@ def p_series(source, p: Prime, cap: int) -> PSeries:
 @dataclass(frozen=True)
 class HeightResult:
     """Finite(h) when the closed fibre has height h, witnessed in degree
-    p^h (v_h the first unit, or the reduced p-series' first nonzero term);
+    p^h (v_h the first unit, or the p-series' first coefficient that is a
+    unit at the closed point);
     AtLeast(bound) when nothing through degree p^bound decides. Infinite
     height is never asserted from a finite cap."""
 
@@ -343,22 +323,23 @@ class HeightResult:
 
 
 def height(ps: PSeries, h_max: int) -> HeightResult:
-    """Height of a p-series already reduced mod p (precision-1 residue ring).
+    """Height of the closed fibre of a p-series, read at the closed point
+    (every parameter set to 0, then mod p) of its p-local base.
 
-    Scans for the first nonzero coefficient. Found in degree p^h: Finite(h).
-    Found elsewhere: FirstNonzeroNotPPower. Nothing through p^h_max:
-    AtLeast(h_max), which needs cap >= p^h_max to be meaningful.
+    The first coefficient, in degree order, that is not p-integral raises
+    NonIntegral. Otherwise the first coefficient that is a unit at the
+    closed point decides: in degree p^h it gives Finite(h), elsewhere
+    FirstNonzeroNotPPower. With none through the cap: AtLeast(h_max), which
+    needs cap >= p^h_max to be meaningful.
     """
-    rng = ps.ring
-    if not isinstance(rng, ResidueRing) or rng.precision != 1:
-        raise RingMismatch("height scan expects a mod-p reduced p-series")
+    check_integral(ps.series, ps.p)
     p = ps.p.p
     if ps.cap < p ** h_max:
         raise CapTooSmall(
             f"cap {ps.cap} < p^h_max = {p ** h_max}; cannot certify AtLeast({h_max})")
-    for d in ps.series.degrees():
-        if d == 1:
-            continue  # a_0 = p = 0 mod p never survives, but be safe
+    for (d,), c in sorted(ps.series.coeffs.items()):
+        if not unit_at_closed_point(c, ps.p):
+            continue
         h, dd = 0, d
         while dd % p == 0:
             dd //= p

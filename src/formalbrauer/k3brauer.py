@@ -143,8 +143,9 @@ BUILTIN_QUARTICS = {
     "fermat": QuarticForm(_diag(), name="fermat"),
     # diagonal with distinct 2-power coefficients; still height-testable fast
     "diag-1248": QuarticForm(_diag(1, 2, 4, 8), name="diag-1248"),
-    # Fermat plus a genuinely non-diagonal term, smooth mod every p <= 13
-    # (its only bad odd prime is 229)
+    # Fermat plus a genuinely non-diagonal term (its only bad odd prime is
+    # 229); smooth_check_fp finds no singular F_p-point at any odd p <= 13,
+    # a search that misses singular points over extensions of F_p
     "fermat-cross": QuarticForm({**_diag(), (3, 1, 0, 0): 1}, name="fermat-cross"),
 }
 
@@ -496,9 +497,15 @@ def _projective_points(q: int):
 
 
 def smooth_check_fp(f: QuarticForm, p, budget: int = 13) -> bool:
-    """Brute-force smoothness of {f = 0} over F_p: no projective point may
-    kill f and all four partials at once. Enumeration is ~p^3 points, so the
-    prime is capped (default 13); larger primes raise rather than stall."""
+    """Brute-force search for a singular F_p-rational point of {f = 0}: True
+    when no point of P^3(F_p) kills f and all four partials at once.
+
+    This is not smoothness over the algebraic closure: singular points
+    defined only over an extension of F_p are not seen. For example
+    (T0^2 + T1^2)^2 + T2^4 + T3^4 is singular at (1 : +-i : 0 : 0), yet
+    this returns True at p = 3, 7 and 11, where -1 is not a square mod p.
+    Enumeration is ~p^3 points, so the prime is capped (default 13); larger
+    primes raise rather than stall."""
     p = p if isinstance(p, Prime) else Prime(int(p))
     q = p.p
     if q > budget:

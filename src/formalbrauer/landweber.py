@@ -551,10 +551,15 @@ def certify_k3_spectrum(R: RingPresentation, f: QuarticForm, h_max: int,
 
 
 def rational_certificate(f: QuarticForm, cap: int = 8) -> K3SpectrumCertificate:
-    """Certificate over the rationals: smoothness is spot-checked at a small
-    prime of good reduction, the law is additive (characteristic zero), and
-    every even line has rank 1 because the canonical bundle of a smooth
-    quartic surface is trivial."""
+    """Certificate over the rationals: the law is additive (characteristic
+    zero), and every even line has rank 1 because the canonical bundle of a
+    smooth quartic surface is trivial.
+
+    Smoothness is only spot-checked: the first odd prime p <= 13 at which
+    smooth_check_fp finds no singular F_p-rational point is recorded. That
+    search misses singular points over extensions of F_p, so a singular
+    surface can pass: (T0^2 + T1^2)^2 + T2^4 + T3^4, singular at
+    (1 : +-i : 0 : 0), is recorded with spot-check prime 3."""
     checked = None
     for q in (3, 5, 7, 11, 13):
         if all(c % q == 0 for c in f.terms.values()):

@@ -171,8 +171,8 @@ class Series:
     def scalar_mul(self, c):
         rng = self.ring
         c = rng.coerce(c)
-        # a product of nonzero coefficients can vanish (residues mod p^M,
-        # truncated polynomials), so the zeros are dropped here
+        # a product of nonzero truncated polynomials can vanish above the
+        # cap (t^2 * t^2 at cap 3), so the zeros are dropped here
         return Series._make(rng, self.vars, self.cap,
                             {e: x for e, v in self.coeffs.items()
                              if not rng.is_zero(x := v * c)})
@@ -354,12 +354,10 @@ class Series:
 
     def derivative(self):
         self._need_univariate()
-        rng = self.ring
-        out = {}
-        for (d,), c in self.coeffs.items():
-            if d >= 1 and not rng.is_zero(x := c * d):
-                out[(d - 1,)] = x
-        return Series._make(rng, self.vars, self.cap, out)
+        # over a Q-algebra c * d is never zero for c != 0 and d >= 1
+        return Series._make(self.ring, self.vars, self.cap,
+                            {(d - 1,): c * d for (d,), c in self.coeffs.items()
+                             if d >= 1})
 
     def integral(self, cap=None):
         """Termwise antiderivative with zero constant. An integrand exact
@@ -420,8 +418,7 @@ class Series:
         ACM 25, 1978): from g exact through degree m, the error
         self(g) - rhs has valuation m + 1, so the slope self'(g) is needed
         only through degree m2 - m - 1 for the corrected g to be exact
-        through m2 = 2m + 1. No division by integers occurs, so residue
-        rings are fine.
+        through m2 = 2m + 1. No division by integers occurs.
         """
         self._need_univariate()
         self._match(rhs)

@@ -2,8 +2,8 @@
 
 Exactness reports read Hazewinkel's v_n off the logarithm's p-power
 coefficients (fgl.hazewinkel_generators). The route they replaced builds
-[p](T) over the law's own coefficient ring on escalating windows, reduces it
-at the closed point, and reads v_n = a_(p^n - 1), the coefficient of
+[p](T) over the law's own coefficient ring on escalating windows, reads its
+height at the closed point, and reads v_n = a_(p^n - 1), the coefficient of
 T^(p^n), with I_(p,n) generated by the first p^(n-1) coefficients. It is
 kept here, unchanged, so that the tests can check the two routes against
 each other: the same closed-fibre height, the same ideals, and no status
@@ -23,24 +23,24 @@ def escalating_height(source, p: Prime, h_max: int, cap: int):
     """(p-series, height) read off the smallest window that decides.
 
     [p] of a Logarithm or law is built in its own coefficient ring at the
-    windows p^1 + 1, p^2 + 1, ... below cap, then at cap, and reduced mod p;
-    the first window whose reduction has a nonzero coefficient gives the
-    verdict. Only an all-zero series goes on to the full cap, where the scan
-    certifies AtLeast(h_max). A series at cap N is exact through degree N,
-    so the verdict is the one the full-cap window gives. Integrality is
-    checked through the window the verdict was read from: a p-denominator
-    above the witnessing degree is not looked for.
+    windows p^1 + 1, p^2 + 1, ... below cap, then at cap, and read at the
+    closed point; the first window whose height is finite gives the verdict.
+    Only a series with no unit at the closed point goes on to the full cap,
+    where the scan certifies AtLeast(h_max). A series at cap N is exact
+    through degree N, so the verdict is the one the full-cap window gives.
+    Integrality is checked through the window the verdict was read from: a
+    p-denominator above the witnessing degree is not looked for.
     """
     p = p if isinstance(p, Prime) else Prime(int(p))
     k = 1
     while True:
         window = min(p.p ** k + 1, cap)
         ps = p_series(source, p, window)
-        red = ps.reduce()
         if window == cap:
-            return ps, height(red, h_max)
-        if not red.series.is_zero():
-            return ps, height(red, k)
+            return ps, height(ps, h_max)
+        h = height(ps, k)
+        if h.is_finite:
+            return ps, h
         k += 1
 
 

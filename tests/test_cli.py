@@ -268,6 +268,17 @@ def test_landweber_needs_scenario_or_law(capsys):
     assert run(["landweber", "--p", "2", "--scenario", "torsion"]) == 1
 
 
+@pytest.mark.parametrize("extra", [["--ring", "zp"], ["--law", "additive"],
+                                   ["--ring", "zp", "--law", "additive"]])
+def test_landweber_scenario_with_a_law_is_a_usage_error(extra, capsys):
+    # --ring and --law would be ignored beside a scenario
+    code = run(["landweber", "--scenario", "torsion", *extra])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "--scenario cannot be combined with --ring or --law" in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
@@ -299,6 +310,19 @@ def test_certify_timestamp_by_default(capsys):
 
 def test_certify_requires_a_mode(capsys):
     assert run(["certify", "--quartic", "fermat"]) == 1
+
+
+@pytest.mark.parametrize("extra", [["--ring", "zp"], ["--p", "7"],
+                                   ["--cap", "9"],
+                                   ["--ring", "zp", "--p", "7"]])
+def test_certify_rational_with_p_local_options_is_a_usage_error(extra,
+                                                                 capsys):
+    # --ring, --p and --cap would be ignored by the rational certificate
+    code = run(["certify", "--quartic", "fermat", "--rational", *extra])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "--rational cannot be combined with --ring, --p or --cap" in err
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact coefficient arithmetic: rationals, residues, truncated polynomials."""
+"""Exact coefficient arithmetic: rationals and truncated polynomials."""
 
 import math
 import os
@@ -14,16 +14,13 @@ from hypothesis import given, strategies as st
 from formalbrauer.coefficients import (
     QQ,
     Prime,
-    Residue,
-    ResidueRing,
     TruncPolyRing,
     is_prime,
     multinomial,
     rat,
-    reduce_mod,
     val_p,
 )
-from formalbrauer.errors import NonIntegral, NotAUnit, RingMismatch
+from formalbrauer.errors import NotAUnit, RingMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -141,56 +138,6 @@ def test_rationals_are_fractions_even_with_gmpy2_importable(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# residue rings Z/p^M
-# ---------------------------------------------------------------------------
-
-
-def test_residue_ring_mod_9():
-    rng = ResidueRing(Prime(3), 2)
-    assert rng.modulus == 9
-    a = rng.from_int(7)
-    assert a == 16          # compared mod 9
-    assert (a * a).v == 4
-    assert (a + rng.from_int(2)).v == 0
-    assert (-a).v == 2
-    assert a ** 2 == rng.from_int(4)
-    assert rng.is_unit(a)
-    assert not rng.is_unit(rng.from_int(3))
-    assert rng.invert(rng.from_int(2)).v == 5
-    with pytest.raises(NotAUnit):
-        rng.invert(rng.from_int(3))
-
-
-def test_residues_from_different_rings_do_not_mix():
-    a = ResidueRing(Prime(3), 1).from_int(1)
-    b = ResidueRing(Prime(5), 1).from_int(1)
-    with pytest.raises(RingMismatch):
-        a + b
-
-
-def test_reduce_mod_frozen_and_guarded():
-    rng = ResidueRing(Prime(3), 2)
-    assert reduce_mod(rat(24, 5), rng) == 3
-    assert reduce_mod(rat(-1), rng) == 8
-    assert reduce_mod(7, rng) == 7
-    with pytest.raises(NonIntegral):
-        reduce_mod(rat(1, 3), rng)
-
-
-@given(st.integers(min_value=-50, max_value=50),
-       st.integers(min_value=1, max_value=50))
-def test_reduce_mod_is_a_ring_map_on_integral_inputs(num, den):
-    rng = ResidueRing(Prime(5), 2)
-    if den % 5 == 0:
-        return
-    x = rat(num, den)
-    y = rat(den, 3) if den % 3 else rat(den, 7)
-    got = reduce_mod(x * y, rng)
-    expected = (reduce_mod(x, rng) * reduce_mod(y, rng)) % 25
-    assert got == expected
-
-
-# ---------------------------------------------------------------------------
 # truncated polynomials
 # ---------------------------------------------------------------------------
 
@@ -255,8 +202,8 @@ def test_truncpoly_ring_coerce_and_monomial():
         R.coerce(other.var("u"))
 
 
-@pytest.mark.parametrize("bad", [1.5, "abc", None, Residue(ResidueRing(3), 1)],
-                         ids=["float", "str", "none", "residue"])
+@pytest.mark.parametrize("bad", [1.5, "abc", None],
+                         ids=["float", "str", "none"])
 @pytest.mark.parametrize("ring", [QQ, TruncPolyRing(("t",), 4),
                                   TruncPolyRing((), 8)],
                          ids=["QQ", "t-cap4", "no-parameters"])

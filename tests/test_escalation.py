@@ -62,14 +62,14 @@ CENSUS_HEIGHTS = {
 def _full_window(source, p, h_max, cap):
     """escalating_height without the escalation: the whole cap at once."""
     ps = p_series(source, p, cap)
-    return ps, height(ps.reduce(), h_max)
+    return ps, height(ps, h_max)
 
 
 @pytest.mark.parametrize("name, p, h_max", sorted(CENSUS_HEIGHTS))
 def test_escalated_height_equals_full_window(name, p, h_max):
     f = named_quartic(name)
     cap = p ** h_max + 1
-    full = height(p_series(stienstra_log(f, cap).log, p, cap).reduce(), h_max)
+    full = height(p_series(stienstra_log(f, cap).log, p, cap), h_max)
     got = brauer_height(f, p, h_max)
     assert got == full
     assert (got.kind, got.value, got.first_nonzero_degree) == \

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from formalbrauer.coefficients import (
     QQ,
     Prime,
-    ResidueRing,
+    TruncPoly,
     TruncPolyRing,
     rat,
 )
@@ -89,8 +89,8 @@ def _symmetric(ring, cap, a, b):
                   {(a, b): ring.one, (b, a): ring.one})
 
 
-@pytest.mark.parametrize("ring", [QQ, ResidueRing(Prime(7))],
-                         ids=["QQ", "Z/7"])
+@pytest.mark.parametrize("ring", [QQ, TruncPolyRing(("t",), 2)],
+                         ids=["QQ", "Q[t]"])
 @pytest.mark.parametrize("base", ["additive", "multiplicative"])
 def test_associativity_defect_at_the_cap_is_caught(ring, base):
     # X^5 Y + X Y^5 is not a multiple of the degree-6 symmetric 2-cocycle
@@ -104,8 +104,8 @@ def test_associativity_defect_at_the_cap_is_caught(ring, base):
     assert FormalGroupLaw(bad.F.truncate(cap - 1)).is_associative()
 
 
-@pytest.mark.parametrize("ring", [QQ, ResidueRing(Prime(7))],
-                         ids=["QQ", "Z/7"])
+@pytest.mark.parametrize("ring", [QQ, TruncPolyRing(("t",), 2)],
+                         ids=["QQ", "Q[t]"])
 def test_associativity_defect_below_the_cap_is_caught(ring):
     # over the additive law the defect of X + Y + X^4 Y + X Y^4 is the
     # cocycle defect of X^4 Y + X Y^4, in degree 5 only (its second-order
@@ -157,14 +157,24 @@ def test_log_recovery_roundtrip():
     assert back.series == l.series
 
 
+class _Integers:
+    """Z as a bare coefficient ring: enough to build a series over, and
+    not a Q-algebra."""
+
+    def coerce(self, x):
+        return int(x)
+
+    def is_zero(self, a):
+        return a == 0
+
+
 def test_logarithm_validation():
     with pytest.raises(ValueError):
         _log({1: 2})                        # must start with 1*T
     with pytest.raises(ValueError):
         _log({0: 1, 1: 1})                  # must vanish at 0
-    rng = ResidueRing(Prime(3), 1)
     with pytest.raises(RingMismatch):
-        Logarithm(Series.univariate(rng, 4, {1: 1}))   # needs a Q-algebra
+        Logarithm(Series.univariate(_Integers(), 4, {1: 1}))  # a Q-algebra
 
 
 def test_fgl_from_log_integrality_guard():
@@ -185,8 +195,8 @@ def test_conjugate_preserves_axioms_and_height():
     moved = law.conjugate(u)
     moved.verify_axioms()
     p = Prime(3)
-    h0 = height(p_series(law, p, cap).reduce(), 2)
-    h1 = height(p_series(moved, p, cap).reduce(), 2)
+    h0 = height(p_series(law, p, cap), 2)
+    h1 = height(p_series(moved, p, cap), 2)
     assert (h0.kind, h0.value) == (h1.kind, h1.value) == ("finite", 1)
 
 
@@ -235,10 +245,15 @@ def test_p_series_guards():
 
 
 def test_p_series_reduce_rejects_denominators():
-    s = Series.univariate(QQ, 4, {1: 3, 2: rat(1, 3)})
-    ps = PSeries(Prime(3), s)
-    with pytest.raises(NonIntegral):
-        ps.reduce()
+    # the whole series is checked, in degree order, before the scan: 1/3 in
+    # degree 4 lies above the unit at T^3 and still raises
+    for coeffs, degree in (({1: 3, 2: rat(1, 3)}, 2),
+                           ({1: 3, 3: 1, 4: rat(1, 3)}, 4),
+                           ({1: 3, 2: rat(2, 9), 4: rat(1, 3)}, 2)):
+        ps = PSeries(Prime(3), Series.univariate(QQ, 4, coeffs))
+        with pytest.raises(NonIntegral) as err:
+            height(ps, 1)
+        assert err.value.degree == (degree,)
 
 
 def test_p_series_reduce_evaluates_closed_point():
@@ -246,10 +261,14 @@ def test_p_series_reduce_evaluates_closed_point():
     t = R.var("t")
     s = Series(R, ("T",), 6, {(1,): R.from_int(3), (3,): t * 2 + R.from_int(7),
                               (5,): t})
-    red = PSeries(Prime(3), s).reduce()
-    # parameters go to 0, then mod 3: T^3 keeps 7 = 1, T^5 drops entirely
-    assert red.series.degrees() == [3]
-    assert red.series.coeff(3).v == 1
+    # parameters go to 0, then mod 3: T^3 keeps 7 = 1, a unit
+    res = height(PSeries(Prime(3), s), 1)
+    assert (res.kind, res.value, res.first_nonzero_degree) == ("finite", 1, 3)
+    # 2t + 6 and t are nonzero but vanish at the closed point
+    s = Series(R, ("T",), 6, {(1,): R.from_int(3), (3,): t * 2 + R.from_int(6),
+                              (5,): t})
+    res = height(PSeries(Prime(3), s), 1)
+    assert (res.kind, res.value) == ("at_least", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +279,14 @@ def test_p_series_reduce_evaluates_closed_point():
 def test_multiplicative_height_one_everywhere():
     for p in (3, 5, 7, 11):
         law = standard_law("multiplicative", QQ, p)
-        res = height(p_series(law, Prime(p), p).reduce(), 1)
+        res = height(p_series(law, Prime(p), p), 1)
         assert res.is_finite and res.value == 1
         assert res.first_nonzero_degree == p
 
 
 def test_additive_height_at_least_h_max():
     law = standard_law("additive", QQ, 30)
-    res = height(p_series(law, Prime(3), 30).reduce(), 3)
+    res = height(p_series(law, Prime(3), 30), 3)
     assert res.kind == "at_least"
     assert res.value == 3
     assert not res.is_finite
@@ -276,22 +295,92 @@ def test_additive_height_at_least_h_max():
 def test_height_guards():
     law = standard_law("multiplicative", QQ, 10)
     ps = p_series(law, Prime(3), 10)
-    with pytest.raises(RingMismatch):
-        height(ps, 1)                       # not reduced mod p
-    z9 = ResidueRing(Prime(3), 2)           # Z/9 is not a field
-    mod9 = Series.univariate(z9, 10, {1: 3, 2: 3, 3: 1})   # (1+T)^3 - 1
-    with pytest.raises(RingMismatch):
-        height(PSeries(Prime(3), mod9), 1)
     with pytest.raises(CapTooSmall):
-        height(ps.reduce(), 3)              # cap 10 < 3^3
+        height(ps, 3)                       # cap 10 < 3^3
+    # a denominator is reported before the cap
+    bad = PSeries(Prime(3), Series.univariate(QQ, 10, {1: 3, 2: rat(1, 3)}))
+    with pytest.raises(NonIntegral):
+        height(bad, 3)
 
 
 def test_height_first_nonzero_not_p_power():
-    rng = ResidueRing(Prime(3), 1)
-    s = Series(rng, ("T",), 9, {(5,): rng.from_int(2)})
-    ps = PSeries(Prime(3), s)
+    # 3 T^2 is nonzero but not a unit; 2 T^5 is the first unit
+    s = Series.univariate(QQ, 9, {1: 3, 2: 3, 5: 2, 9: 1})
     with pytest.raises(FirstNonzeroNotPPower):
-        height(ps, 2)
+        height(PSeries(Prime(3), s), 2)
+
+
+@st.composite
+def _p_series_cases(draw):
+    """(p, ring, {degree: coefficient}, cap, h_max): a univariate series with
+    a_0 = p over QQ or Q[t1,t2]<=deg 2, whose coefficients are mostly
+    multiples of p, sometimes units, and sometimes carry p in a
+    denominator."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    cap = draw(st.integers(min_value=p, max_value=min(p ** 3, 30)))
+    top = max(h for h in range(1, 4) if p ** h <= cap)
+    h_max = draw(st.integers(min_value=1, max_value=top))
+    poly = draw(st.booleans())
+    ring = TruncPolyRing(("t1", "t2"), 2) if poly else QQ
+
+    def rational():
+        num = draw(st.integers(-9, 9))
+        if draw(st.integers(0, 2)):
+            num *= p
+        return rat(num, draw(st.sampled_from([1, 1, 1, 2, p])))
+
+    def coefficient():
+        if not poly:
+            return rational()
+        exps = draw(st.sets(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 0)]),
+                            max_size=2))
+        return TruncPoly(ring.variables, ring.cap,
+                         {(0, 0): rational(), **{e: rational() for e in exps}})
+
+    powers = {p ** h for h in range(1, 4)}
+    coeffs = {1: ring.from_int(p)}
+    for d in range(2, cap + 1):
+        if draw(st.integers(0, 1 if d in powers else 3)) == 0:
+            coeffs[d] = coefficient()
+    return p, ring, coeffs, cap, h_max
+
+
+def _closed_point_oracle(p, coeffs, h_max):
+    """The verdict by plain integer arithmetic: a term's denominator
+    divisible by p is a NonIntegral at its degree; otherwise the first
+    constant term whose numerator times the inverse of its denominator is
+    nonzero mod p decides, at a power of p or not."""
+    def terms(c):
+        return c.terms if isinstance(c, TruncPoly) else {(0, 0): c}
+
+    for d in sorted(coeffs):
+        if any(c.denominator % p == 0 for c in terms(coeffs[d]).values()):
+            return ("NonIntegral", d)
+    for d in sorted(coeffs):
+        c = terms(coeffs[d]).get((0, 0), 0)
+        if c.numerator * pow(c.denominator, -1, p) % p:
+            h = 0
+            while p ** h < d:
+                h += 1
+            if p ** h != d:
+                return ("FirstNonzeroNotPPower",)
+            return ("finite", h, d)
+    return ("at_least", h_max, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_p_series_cases())
+def test_height_matches_a_plain_integer_oracle(case):
+    p, ring, coeffs, cap, h_max = case
+    ps = PSeries(Prime(p), Series.univariate(ring, cap, coeffs))
+    try:
+        res = height(ps, h_max)
+        got = (res.kind, res.value, res.first_nonzero_degree)
+    except NonIntegral as err:
+        got = ("NonIntegral", err.degree[0])
+    except FirstNonzeroNotPPower:
+        got = ("FirstNonzeroNotPPower",)
+    assert got == _closed_point_oracle(p, coeffs, h_max)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +531,7 @@ def test_elliptic_height_matches_point_count_oracle():
         for p in (5, 7):
             cap = p ** 2 + 1
             law, log = elliptic_fgl(coeffs, cap)
-            res = height(p_series(log, Prime(p), cap).reduce(), 2)
+            res = height(p_series(log, Prime(p), cap), 2)
             oracle = elliptic_ss_oracle(coeffs, Prime(p))
             assert res.is_finite
             assert res.value == (2 if oracle == "supersingular" else 1)

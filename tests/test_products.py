@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 from formalbrauer.coefficients import (
     QQ,
     Prime,
-    ResidueRing,
     TruncPoly,
     TruncPolyRing,
     rat,
@@ -190,21 +189,8 @@ def test_truncpoly_dot_frozen_cases():
 
 
 # ---------------------------------------------------------------------------
-# ResidueRing.dot and QQ.dot against a plain sum of products
+# QQ.dot against a plain sum of products
 # ---------------------------------------------------------------------------
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([3, 5, 7]), st.integers(min_value=1, max_value=3),
-       st.lists(st.tuples(st.integers(min_value=-10**6, max_value=10**6),
-                          st.integers(min_value=-10**6, max_value=10**6)),
-                max_size=6))
-def test_residue_dot_is_the_sum_of_products(p, precision, ints):
-    rng = ResidueRing(Prime(p), precision)
-    pairs = [(rng.from_int(a), rng.from_int(b)) for a, b in ints]
-    want = functools.reduce(lambda s, ab: s + ab[0] * ab[1], pairs, rng.zero)
-    got = rng.dot(pairs)
-    assert got.ring == rng and got.v == want.v
 
 
 @st.composite
@@ -336,20 +322,16 @@ def test_compose_builds_a_power_from_the_one_below(monkeypatch):
 
 @st.composite
 def _subst_cases(draw):
-    """(outer, replacements) over QQ, Z/p^M or Q[t]<=deg 2: an outer series
+    """(outer, replacements) over QQ or Q[t]<=deg 2: an outer series
     in 1-3 variables that may have a constant term and has a term exactly at
     its cap, which may sit above the replacements' cap; replacements in 1-3
     variables, some of them monomials or zero."""
     p = draw(st.sampled_from([3, 5, 7]))
-    kind = draw(st.sampled_from(["QQ", "residue", "poly"]))
+    kind = draw(st.sampled_from(["QQ", "poly"]))
     small = st.integers(min_value=-9, max_value=9)
     if kind == "QQ":
         ring = QQ
         coeff = st.builds(rat, small, st.sampled_from([1, 2, p, p * p]))
-    elif kind == "residue":
-        ring = ResidueRing(Prime(p), draw(st.integers(min_value=1,
-                                                      max_value=3)))
-        coeff = st.builds(ring.from_int, small)
     else:
         ring = TruncPolyRing(("t",), 2)
         coeff = st.builds(

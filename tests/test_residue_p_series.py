@@ -31,7 +31,7 @@ def _qq_height(f, p, h_max, cap=None):
     """The QQ route: [p] over QQ through the whole window, reduced mod p."""
     cap = p ** h_max + 1 if cap is None else cap
     ps = p_series(stienstra_log(f, cap).log, Prime(p), cap)
-    return height(ps.reduce(), h_max)
+    return height(ps, h_max)
 
 
 @pytest.mark.parametrize("name", ["fermat", "diag-1248", "fermat-cross"])
