@@ -11,22 +11,22 @@ Exit codes: 0 success, 1 usage error, 2 integrality abort, 3 certification
 refused. Output is deterministic: with --no-timestamp the same invocation
 produces byte-identical bytes (wall times are zeroed too, since they are
 timing data of the same kind).
+
+The process pool, csv, datetime and the acceptance suite are imported inside
+the commands that use them: for a narrow question, start-up costs more than
+the computation.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
 
 from . import __version__
-from .acceptance import CHECKS, run_checks
 from .coefficients import QQ, Prime, is_prime
 from .errors import CapTooSmall, CertificationRefused, NonIntegral
 from .k3brauer import QuarticForm, _height_with_beta_p, named_quartic
@@ -107,15 +107,17 @@ def _build_parser() -> _Parser:
                     help="certificate over the rationals")
     cp.add_argument("--ring", choices=("zp",), default=None)
     cp.add_argument("--p", type=int, default=None)
-    cp.add_argument("--hmax", type=int, default=2)
+    cp.add_argument("--hmax", type=int, default=None,
+                    help="height bound for --ring zp (default 2)")
     cp.add_argument("--cap", type=int, default=None)
     cp.add_argument("--out", type=Path, default=None)
     cp.add_argument("--no-timestamp", action="store_true")
 
     sp = sub.add_parser("selftest", help="run the acceptance suite")
     sp.add_argument("--only", action="append", default=None,
-                    metavar="CHECK", help=f"run a subset; available: "
-                                          f"{', '.join(CHECKS)}")
+                    metavar="CHECK",
+                    help="run a subset (comma-separated, repeatable); an "
+                         "unknown name is an error that lists every check")
     sp.add_argument("--caps", choices=("default", "tiny"), default="default",
                     help="cap profile")
     return parser
@@ -169,6 +171,7 @@ def _emit(text: str, out: Path | None):
 def _timestamp(suppress: bool) -> str | None:
     if suppress:
         return None
+    from datetime import datetime, timezone
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
@@ -205,6 +208,7 @@ def cmd_height(ns) -> int:
         raise ValueError("--jobs must be >= 1")
     cells = [(f, p, ns.hmax) for f in quartics for p in primes]
     if ns.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
             rows = list(pool.map(_height_cell, cells))
     else:
@@ -221,6 +225,7 @@ def cmd_height(ns) -> int:
         doc["rows"] = rows
         _emit(json.dumps(doc, indent=2), ns.out)
     elif ns.format == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=HEIGHT_COLUMNS)
         writer.writeheader()
@@ -254,6 +259,8 @@ def cmd_landweber(ns) -> int:
         h_max = ns.hmax if ns.hmax is not None else default_hmax
     elif ns.ring and ns.law:
         h_max = ns.hmax if ns.hmax is not None else 2
+        if h_max < 1:
+            raise ValueError("h_max must be >= 1")
         cap = ns.cap or p.p ** h_max + 1
         R = zp_presentation(p)
         source = standard_law(ns.law, QQ, cap)
@@ -267,6 +274,7 @@ def cmd_landweber(ns) -> int:
     if ns.format == "json":
         _emit(json.dumps(doc, indent=2), ns.out)
     elif ns.format == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(("element", "status", "witness", "reason"))
@@ -295,9 +303,10 @@ def cmd_landweber(ns) -> int:
 
 
 def cmd_certify(ns) -> int:
-    if ns.rational and (ns.ring or ns.p is not None or ns.cap is not None):
+    if ns.rational and (ns.ring or ns.p is not None or ns.cap is not None
+                        or ns.hmax is not None):
         raise ValueError(
-            "--rational cannot be combined with --ring, --p or --cap")
+            "--rational cannot be combined with --ring, --p, --cap or --hmax")
     f = _load_quartic(ns.quartic)
     if ns.rational:
         cert = rational_certificate(f)
@@ -307,7 +316,8 @@ def cmd_certify(ns) -> int:
         if ns.p == 2:
             raise ValueError("p = 2 is not supported: odd characteristic only")
         R = zp_presentation(Prime(ns.p))
-        cert = certify_k3_spectrum(R, f, ns.hmax, cap=ns.cap)
+        h_max = ns.hmax if ns.hmax is not None else 2
+        cert = certify_k3_spectrum(R, f, h_max, cap=ns.cap)
     doc = cert.to_json_dict(timestamp=_timestamp(ns.no_timestamp))
     _emit(json.dumps(doc, indent=2), ns.out)
     return EXIT_OK
@@ -319,6 +329,7 @@ def cmd_certify(ns) -> int:
 
 
 def cmd_selftest(ns) -> int:
+    from .acceptance import run_checks
     names = None
     if ns.only:
         names = []

@@ -3,11 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from formalbrauer import cli, k3brauer
+from formalbrauer import acceptance, cli, k3brauer
 from formalbrauer.errors import NonIntegral
 from formalbrauer.k3brauer import beta_coefficient, named_quartic
 
@@ -268,6 +272,17 @@ def test_landweber_needs_scenario_or_law(capsys):
     assert run(["landweber", "--p", "2", "--scenario", "torsion"]) == 1
 
 
+@pytest.mark.parametrize("route", [["--scenario", "torsion"],
+                                   ["--ring", "zp", "--law", "multiplicative"]])
+def test_landweber_hmax_below_one_is_a_usage_error(route, capsys):
+    # checked before the law's window p^h_max + 1 is built from it
+    code = run(["landweber", *route, "--hmax", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "h_max must be >= 1" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("extra", [["--ring", "zp"], ["--law", "additive"],
                                    ["--ring", "zp", "--law", "additive"]])
 def test_landweber_scenario_with_a_law_is_a_usage_error(extra, capsys):
@@ -314,14 +329,17 @@ def test_certify_requires_a_mode(capsys):
 
 @pytest.mark.parametrize("extra", [["--ring", "zp"], ["--p", "7"],
                                    ["--cap", "9"],
-                                   ["--ring", "zp", "--p", "7"]])
+                                   ["--ring", "zp", "--p", "7"],
+                                   ["--hmax", "5"]])
 def test_certify_rational_with_p_local_options_is_a_usage_error(extra,
                                                                  capsys):
-    # --ring, --p and --cap would be ignored by the rational certificate
+    # --ring, --p, --cap and --hmax would be ignored by the rational
+    # certificate
     code = run(["certify", "--quartic", "fermat", "--rational", *extra])
     out, err = capsys.readouterr()
     assert code == 1
-    assert "--rational cannot be combined with --ring, --p or --cap" in err
+    assert ("--rational cannot be combined with --ring, --p, --cap or --hmax"
+            in err)
     assert out == ""
 
 
@@ -348,6 +366,9 @@ def test_selftest_only_subset(capsys):
 
 def test_selftest_unknown_check(capsys):
     assert run(["selftest", "--only", "nope"]) == 1
+    # the help text does not list the checks, so the error must
+    err = capsys.readouterr().err
+    assert all(name in err for name in acceptance.CHECKS)
 
 
 def test_selftest_reports_failures(monkeypatch, capsys):
@@ -355,9 +376,61 @@ def test_selftest_reports_failures(monkeypatch, capsys):
 
     def fake(names=None, profile="default"):
         return [CheckOutcome("fermat-dichotomy", False, "synthetic", 0.0)]
-    monkeypatch.setattr(cli, "run_checks", fake)
+    monkeypatch.setattr(acceptance, "run_checks", fake)
     code = run(["selftest"])
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL fermat-dichotomy" in out
     assert "synthetic" in out
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+
+DEFERRED = ("concurrent.futures", "multiprocessing", "csv", "datetime",
+            "formalbrauer.acceptance")
+
+# Runs in a fresh interpreter, since this one has already imported some of
+# DEFERRED: imports the package and its CLI, then runs one command per
+# deferred import, printing which of DEFERRED are loaded before the first
+# command and after each.
+STARTUP_PROBE = textwrap.dedent("""
+    import contextlib, io, json, sys
+    import formalbrauer, formalbrauer.cli
+    deferred = json.loads(sys.argv[1])
+    commands = json.loads(sys.argv[2])
+    seen = [[m for m in deferred if m in sys.modules]]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = formalbrauer.cli.main(argv)
+        assert code == 0, (argv, code)
+        seen.append([m for m in deferred if m in sys.modules])
+    print(json.dumps(seen))
+""")
+
+
+def test_startup_defers_imports_to_the_commands_that_use_them():
+    height = ["height", "--quartic", "fermat", "--primes", "5,13",
+              "--no-timestamp"]
+    commands = [height + ["--format", "json"],
+                height + ["--format", "csv"],
+                height[:-1] + ["--format", "json"],
+                height + ["--jobs", "2"],
+                ["selftest", "--only", "fermat-dichotomy", "--caps", "tiny"]]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, json.dumps(DEFERRED),
+         json.dumps(commands)],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    seen = [set(s) for s in json.loads(proc.stdout)]
+    assert seen == [
+        set(),                                   # import only
+        set(),                                   # json, no timestamp
+        {"csv"},
+        {"csv", "datetime"},                     # timestamp
+        {"csv", "datetime", "concurrent.futures", "multiprocessing"},
+        set(DEFERRED),                           # selftest
+    ]
