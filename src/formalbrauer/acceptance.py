@@ -359,11 +359,12 @@ CHECKS = {
 def run_checks(names=None, profile: str = "default") -> list:
     if names is None:
         names = list(CHECKS)
+    unknown = next((name for name in names if name not in CHECKS), None)
+    if unknown is not None:
+        raise ValueError(
+            f"unknown check {unknown!r}; available: {', '.join(CHECKS)}")
     outcomes = []
     for name in names:
-        if name not in CHECKS:
-            raise ValueError(
-                f"unknown check {name!r}; available: {', '.join(CHECKS)}")
         start = perf_counter()
         try:
             ok, detail = CHECKS[name](profile)

@@ -29,7 +29,7 @@ from time import perf_counter
 from . import __version__
 from .coefficients import QQ, Prime, is_prime
 from .errors import CapTooSmall, CertificationRefused, NonIntegral
-from .k3brauer import QuarticForm, _height_with_beta_p, named_quartic
+from .k3brauer import QuarticForm, brauer_generators, named_quartic
 from .landweber import (
     SCENARIOS,
     builtin_scenario,
@@ -93,9 +93,8 @@ def _build_parser() -> _Parser:
     lp.add_argument("--law", choices=("multiplicative", "additive"),
                     default=None)
     lp.add_argument("--p", type=int, default=3, help="the prime (default 3)")
-    lp.add_argument("--hmax", type=int, default=None,
-                    help="height bound (default: scenario's own, else 2)")
-    lp.add_argument("--cap", type=int, default=None)
+    lp.add_argument("--hmax", type=int, default=2,
+                    help="height bound (default 2)")
     lp.add_argument("--format", choices=("json", "csv", "text"),
                     default="text")
     lp.add_argument("--out", type=Path, default=None)
@@ -109,7 +108,6 @@ def _build_parser() -> _Parser:
     cp.add_argument("--p", type=int, default=None)
     cp.add_argument("--hmax", type=int, default=None,
                     help="height bound for --ring zp (default 2)")
-    cp.add_argument("--cap", type=int, default=None)
     cp.add_argument("--out", type=Path, default=None)
     cp.add_argument("--no-timestamp", action="store_true")
 
@@ -184,8 +182,8 @@ def _height_cell(args):
     """One (quartic, prime) grid cell; top level so worker pools can run it."""
     f, p, h_max = args
     start = perf_counter()
-    result, beta_p = _height_with_beta_p(f, p, h_max)
-    beta_p %= p
+    result, vs = brauer_generators(f, p, h_max)
+    beta_p = int(vs[0]) % p     # v_1 = beta_p
     wall_ms = int((perf_counter() - start) * 1000)
     return {
         "quartic": f.name,
@@ -254,19 +252,16 @@ def cmd_landweber(ns) -> int:
     p = Prime(ns.p)
     if ns.scenario and (ns.ring or ns.law):
         raise ValueError("--scenario cannot be combined with --ring or --law")
+    if ns.hmax < 1:
+        raise ValueError("h_max must be >= 1")
     if ns.scenario:
-        R, source, default_hmax = builtin_scenario(ns.scenario, p, cap=ns.cap)
-        h_max = ns.hmax if ns.hmax is not None else default_hmax
+        R, source, _ = builtin_scenario(ns.scenario, p, ns.hmax)
     elif ns.ring and ns.law:
-        h_max = ns.hmax if ns.hmax is not None else 2
-        if h_max < 1:
-            raise ValueError("h_max must be >= 1")
-        cap = ns.cap or p.p ** h_max + 1
         R = zp_presentation(p)
-        source = standard_law(ns.law, QQ, cap)
+        source = standard_law(ns.law, QQ, p.p ** ns.hmax + 1)
     else:
         raise ValueError("need --scenario, or --ring together with --law")
-    report = landweber_check(R, source, h_max, cap=ns.cap)
+    report = landweber_check(R, source, ns.hmax)
     doc = report.to_json_dict()
     stamp = _timestamp(ns.no_timestamp)
     if stamp is not None:
@@ -303,10 +298,9 @@ def cmd_landweber(ns) -> int:
 
 
 def cmd_certify(ns) -> int:
-    if ns.rational and (ns.ring or ns.p is not None or ns.cap is not None
-                        or ns.hmax is not None):
+    if ns.rational and (ns.ring or ns.p is not None or ns.hmax is not None):
         raise ValueError(
-            "--rational cannot be combined with --ring, --p, --cap or --hmax")
+            "--rational cannot be combined with --ring, --p or --hmax")
     f = _load_quartic(ns.quartic)
     if ns.rational:
         cert = rational_certificate(f)
@@ -317,7 +311,7 @@ def cmd_certify(ns) -> int:
             raise ValueError("p = 2 is not supported: odd characteristic only")
         R = zp_presentation(Prime(ns.p))
         h_max = ns.hmax if ns.hmax is not None else 2
-        cert = certify_k3_spectrum(R, f, h_max, cap=ns.cap)
+        cert = certify_k3_spectrum(R, f, h_max)
     doc = cert.to_json_dict(timestamp=_timestamp(ns.no_timestamp))
     _emit(json.dumps(doc, indent=2), ns.out)
     return EXIT_OK

@@ -8,7 +8,8 @@ determines a law.
 Over a p-local base the arithmetic invariants are Hazewinkel's generators
 v_1, v_2, ..., read off the logarithm's coefficients at T^(p^n) alone
 (hazewinkel_generators): the ideals I_n = (p, v_1, ..., v_(n-1)), and the
-height of the closed fibre, the least n with v_n a unit there. The p-series
+height of the closed fibre, the least n with v_n a unit there
+(closed_fibre_height). The p-series
 [p](T) = a_0 T + a_1 T^2 + ... (a_i multiplies T^(i+1), a_0 = p) has
 a_(p^n - 1) = v_n mod I_n; it and its height scan stay as the independent
 route the acceptance suite and the tests check against.
@@ -620,6 +621,19 @@ def hazewinkel_generators(ells, p: Prime):
             return
         ls.append(ell)
         vs.append(v)
+
+
+def closed_fibre_height(ells, p: Prime, h_max: int):
+    """(height, [v_1, ..., v_n]) of the closed fibre, the v_n read by
+    hazewinkel_generators from ells = l_1, l_2, ...: Finite(n), witnessed in
+    degree p^n, when v_n is the first unit at the closed point; otherwise
+    AtLeast(h_max), with v_1, ..., v_(h_max). No l_k past the one that
+    decides is asked for."""
+    vs = list(itertools.islice(hazewinkel_generators(ells, p), h_max))
+    if vs and unit_at_closed_point(vs[-1], p):
+        n = len(vs)
+        return HeightResult("finite", n, first_nonzero_degree=int(p) ** n), vs
+    return HeightResult("at_least", h_max), vs
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,7 @@ from math import gcd
 
 from .coefficients import QQ, Prime, multinomial, rat
 from .errors import CapTooSmall
-from .fgl import (
-    HeightResult,
-    Logarithm,
-    hazewinkel_generators,
-    unit_at_closed_point,
-)
+from .fgl import HeightResult, Logarithm, closed_fibre_height
 from .series import Series
 
 QUARTIC_VARS = ("T0", "T1", "T2", "T3")
@@ -112,9 +107,6 @@ class QuarticForm:
                 ne[i] -= 1
                 out[tuple(ne)] = c * e[i]
         return out
-
-    def evaluate(self, point, mod: int) -> int:
-        return _evaluate(self.terms, point, mod)
 
     def __eq__(self, other):
         if not isinstance(other, QuarticForm):
@@ -438,13 +430,13 @@ def brauer_height(f: QuarticForm, p, h_max: int) -> HeightResult:
     the extractor's setup is shared and no beta past the deciding n is
     computed.
     """
-    return _height_with_beta_p(f, p, h_max)[0]
+    return brauer_generators(f, p, h_max)[0]
 
 
-def _height_with_beta_p(f: QuarticForm, p, h_max: int):
-    """(brauer_height(f, p, h_max), beta_p), from one extraction: beta_p is
-    v_1 = p l_1, the first generator the height reads. The CLI's height
-    rows print both."""
+def brauer_generators(f: QuarticForm, p, h_max: int):
+    """(brauer_height(f, p, h_max), [v_1, ..., v_n]) by closed_fibre_height,
+    the l_n = beta_(p^n) / p^n from one beta_coefficients call. v_1 is
+    beta_p, which the CLI's height rows print."""
     p = p if isinstance(p, Prime) else Prime(int(p))
     if h_max < 1:
         raise ValueError("h_max must be >= 1")
@@ -453,13 +445,7 @@ def _height_with_beta_p(f: QuarticForm, p, h_max: int):
             f"{p.p} divides every coefficient of {f.name}; no reduction mod {p.p}")
     qs = [p.p ** n for n in range(1, h_max + 1)]
     ells = (rat(b, q) for q, b in zip(qs, beta_coefficients(f, qs)))
-    for n, v in enumerate(hazewinkel_generators(ells, p), start=1):
-        if n == 1:
-            beta_p = int(v)
-        if unit_at_closed_point(v, p):
-            return (HeightResult("finite", n, first_nonzero_degree=qs[n - 1]),
-                    beta_p)
-    return HeightResult("at_least", h_max), beta_p
+    return closed_fibre_height(ells, p, h_max)
 
 
 def ordinarity_criterion(f: QuarticForm, p) -> bool:

@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import product as _iproduct
 
 from . import __version__
-from .coefficients import QQ, Prime, TruncPoly, TruncPolyRing, rat, val_p
+from .coefficients import QQ, Prime, TruncPoly, TruncPolyRing, val_p
 from .errors import (
     CapTooSmall,
     CertificationRefused,
@@ -37,21 +37,19 @@ from .errors import (
 )
 from .fgl import (
     FormalGroupLaw,
-    HeightResult,
     Logarithm,
     check_integral,
+    closed_fibre_height,
     fgl_from_log,
-    hazewinkel_generators,
     hazewinkel_log,
     ideal_contains,
     ideal_contains_all,
     log_from_fgl,
     standard_law,
-    unit_at_closed_point,
 )
 from .k3brauer import (
     QuarticForm,
-    beta_coefficients,
+    brauer_generators,
     smooth_check_fp,
     stienstra_log,
 )
@@ -326,44 +324,27 @@ class LandweberReport:
         }
 
 
-def _window(p: int, h_max: int, cap: int | None) -> int:
-    """The verdict window cap, by default p^h_max + 1."""
-    if h_max < 1:
-        raise ValueError("h_max must be >= 1")
-    if cap is None:
-        cap = p ** h_max + 1
-    if cap < p ** h_max:
-        raise CapTooSmall(
-            f"cap {cap} < p^h_max = {p ** h_max}; no verdict window")
-    return cap
-
-
-def _p_powers(p: int, cap: int) -> list:
-    qs = [p]
-    while qs[-1] * p <= cap:
-        qs.append(qs[-1] * p)
-    return qs
-
-
-def landweber_check(R: RingPresentation, source, h_max: int,
-                    cap: int | None = None) -> LandweberReport:
+def landweber_check(R: RingPresentation, source, h_max: int
+                    ) -> LandweberReport:
     """Exactness verdict for a law or logarithm over the presentation R.
 
-    fgl.hazewinkel_generators reads v_1, v_2, ... off the logarithm's
-    coefficients at T^p, T^(p^2), ... through degree cap (a law gives its
-    logarithm by log_from_fgl), and stops at the first v_h that is a unit at
-    the closed point: h is the height of the closed fibre. The report
-    classifies (p, v_1, ..., v_h): Exact requires Regular all the way up
-    with v_h a Unit. A window that never shows a unit yields Inconclusive,
-    because a larger cap could still reveal one; torsion yields NotExact
-    with its witness on display. The ideals (p, v_1, ..., v_n) and the
-    classes of v_n modulo them are those of the law itself, since
-    p-typification is a strict isomorphism. A v_n that is not p-integral
-    raises NonIntegral, and so does a law given with a coefficient that is
-    not; a logarithm's denominators in other degrees are not looked for.
+    fgl.closed_fibre_height reads v_1, ..., v_(h_max) off the logarithm's
+    coefficients at T^p, ..., T^(p^h_max) (a law gives its logarithm by
+    log_from_fgl), and stops at the first v_h that is a unit at the closed
+    point: h is the height of the closed fibre. The logarithm must reach
+    degree p^h_max + 1. The report classifies (p, v_1, ..., v_h): Exact
+    requires Regular all the way up with v_h a Unit. A window that never
+    shows a unit yields Inconclusive, because a larger h_max could still
+    reveal one; torsion yields NotExact with its witness on display. The
+    ideals (p, v_1, ..., v_n) and the classes of v_n modulo them are those
+    of the law itself, since p-typification is a strict isomorphism. A v_n
+    that is not p-integral raises NonIntegral, and so does a law given with
+    a coefficient that is not; a logarithm's denominators in other degrees
+    are not looked for.
     """
     p = R.prime
-    cap = _window(p.p, h_max, cap)
+    if h_max < 1:
+        raise ValueError("h_max must be >= 1")
     if isinstance(source, (Logarithm, FormalGroupLaw)):
         ring = source.ring
     else:
@@ -378,37 +359,31 @@ def landweber_check(R: RingPresentation, source, h_max: int,
     if isinstance(source, FormalGroupLaw):
         check_integral(source.F, p)
     log = source if isinstance(source, Logarithm) else log_from_fgl(source)
-    if log.cap < cap:
-        raise CapTooSmall(f"logarithm cap {log.cap} < window {cap}")
-    ells = (log.series.coeff(q) for q in _p_powers(p.p, cap))
-    return _exactness_report(R, ring, ells, h_max, cap)
+    window = p.p ** h_max + 1
+    if log.cap < window:
+        raise CapTooSmall(f"logarithm cap {log.cap} < window {window}")
+    ells = (log.series.coeff(p.p ** n) for n in range(1, h_max + 1))
+    return _exactness_report(R, ring, *closed_fibre_height(ells, p, h_max))
 
 
-def _exactness_report(R: RingPresentation, ring, ells, h_max: int,
-                      cap: int) -> LandweberReport:
-    """The report on (p, v_1, ..., v_h), the v_n read from the logarithm's
-    coefficients ells at T^p, T^(p^2), ..., elements of ring."""
-    p = R.prime
-    vs = [ring.from_int(p.p), *hazewinkel_generators(ells, p)]
-    if unit_at_closed_point(vs[-1], p):
-        h = HeightResult("finite", len(vs) - 1,
-                         first_nonzero_degree=p.p ** (len(vs) - 1))
-    else:
-        h = HeightResult("at_least", h_max)
-        del vs[h_max + 1:]
+def _exactness_report(R: RingPresentation, ring, h, vs) -> LandweberReport:
+    """The report on (p, v_1, ..., v_n) for the closed-fibre height h and
+    the v_n that closed_fibre_height read, elements of ring."""
+    vs = [ring.from_int(R.p), *vs]
     report = LandweberReport(
-        p=p, ring=R, closed_fibre_height=h, vs=vs,
+        p=R.prime, ring=R, closed_fibre_height=h, vs=vs,
         chain_generators=[vs[:n] for n in range(len(vs))],
         verdicts=check_regular_sequence(R, vs))
-    return _decide(report, h_max, cap)
+    return _decide(report)
 
 
-def _decide(report: LandweberReport, h_max: int, cap: int) -> LandweberReport:
+def _decide(report: LandweberReport) -> LandweberReport:
     """Set the verdict, its reason and the stabilization index."""
     h, verdicts = report.closed_fibre_height, report.verdicts
     if not h.is_finite:
         report.reason = (
-            f"closed-fibre height exceeds h_max = {h_max} within cap {cap} "
+            f"closed-fibre height exceeds h_max = {h.value} within cap "
+            f"{report.p.p ** h.value + 1} "
             f"(candidate supersingular; no unit v_n observed in the window)")
         return report
 
@@ -506,36 +481,35 @@ class K3SpectrumCertificate:
         return doc
 
 
-# the law a certificate embeds is rebuilt and checked through min(LAW_CAP, cap)
+# the law a certificate embeds is rebuilt and checked through
+# min(LAW_CAP, p^h_max + 1)
 LAW_CAP = 10
 
 
-def certify_k3_spectrum(R: RingPresentation, f: QuarticForm, h_max: int,
-                        cap: int | None = None) -> K3SpectrumCertificate:
+def certify_k3_spectrum(R: RingPresentation, f: QuarticForm, h_max: int
+                        ) -> K3SpectrumCertificate:
     """Certificate for the formal Brauer group of f over the p-local
     presentation R, refusing unless the exactness report comes back Exact.
 
-    The embedded law is rebuilt at min(LAW_CAP, cap) with p-integrality
-    enforced and the full axiom suite run, so a certificate never carries an
-    unchecked law; the logarithm is extracted through that cap only. The
-    report reads its v_n, as landweber_check does, from the logarithm's
-    coefficients beta_(p^n) / p^n, each a single beta."""
+    The report reads its v_n, as landweber_check does, from the logarithm's
+    coefficients beta_(p^n) / p^n, each a single beta (brauer_generators).
+    Only an Exact report goes on to the embedded law, rebuilt at
+    min(LAW_CAP, p^h_max + 1) with p-integrality enforced and the full
+    axiom suite run, so a certificate never carries an unchecked law; the
+    logarithm is extracted through that cap only."""
     p = R.prime
     if R.parameters:
         raise RingMismatch(
             "quartic laws have rational coefficients; use a parameter-free "
             "presentation")
-    cap = _window(p.p, h_max, cap)
-    law_cap = min(LAW_CAP, cap)
-    law = fgl_from_log(stienstra_log(f, law_cap).log, law_cap, integral_at=p)
-    law.verify_axioms()
-    qs = _p_powers(p.p, cap)
-    ells = (rat(b, q) for q, b in zip(qs, beta_coefficients(f, qs)))
-    report = _exactness_report(R, QQ, ells, h_max, cap)
+    report = _exactness_report(R, QQ, *brauer_generators(f, p, h_max))
     if report.verdict != "exact":
         raise CertificationRefused(
             f"cannot certify {f.name} over {R}: {report.reason}",
             report=report)
+    law_cap = min(LAW_CAP, p.p ** h_max + 1)
+    law = fgl_from_log(stienstra_log(f, law_cap).log, law_cap, integral_at=p)
+    law.verify_axioms()
     iso = {
         "type": "coordinate-identification",
         "normalization": "identity on the logarithm coordinate",
@@ -593,12 +567,11 @@ def rational_certificate(f: QuarticForm, cap: int = 8) -> K3SpectrumCertificate:
 # ---------------------------------------------------------------------------
 
 
-def builtin_scenario(name: str, p=3, cap: int | None = None):
-    """(presentation, law-or-logarithm, h_max) for the named scenario."""
+def builtin_scenario(name: str, p=3, h_max: int = 2):
+    """(presentation, law-or-logarithm, h_max) for the named scenario, the
+    law or logarithm built through degree p^h_max + 1."""
     p = p if isinstance(p, Prime) else Prime(int(p))
-    h_max = 2
-    if cap is None:
-        cap = p.p ** h_max + 1
+    cap = p.p ** h_max + 1
     if name == "zp-multiplicative":
         R = zp_presentation(p)
         return R, standard_law("multiplicative", QQ, cap), h_max

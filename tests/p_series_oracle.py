@@ -72,15 +72,15 @@ def landweber_chain(ps: PSeries, n_max: int) -> LandweberIdealChain:
     return LandweberIdealChain(p=ps.p, generators=gens, vs=vs, ring=ps.ring)
 
 
-def p_series_report(R, source, h_max, cap=None) -> LandweberReport:
+def p_series_report(R, source, h_max) -> LandweberReport:
     """The exactness report as the p-series route gives it: the height from
-    escalating_height, (v_0, ..., v_h) and the chain from landweber_chain,
-    and the same classification and verdict rules as landweber_check."""
-    cap = R.p ** h_max + 1 if cap is None else cap
-    ps, h = escalating_height(source, R.prime, h_max, cap)
+    escalating_height through p^h_max + 1, (v_0, ..., v_h) and the chain
+    from landweber_chain, and the same classification and verdict rules as
+    landweber_check."""
+    ps, h = escalating_height(source, R.prime, h_max, R.p ** h_max + 1)
     chain = landweber_chain(ps, h.value)
     report = LandweberReport(
         p=R.prime, ring=R, closed_fibre_height=h, vs=chain.vs,
         chain_generators=chain.generators,
         verdicts=check_regular_sequence(R, chain.vs))
-    return landweber._decide(report, h_max, cap)
+    return landweber._decide(report)

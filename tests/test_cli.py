@@ -219,7 +219,7 @@ def test_argparse_usage_problems_exit_one(capsys):
 def test_nonintegral_abort_exits_two(monkeypatch, capsys):
     def boom(*a, **k):
         raise NonIntegral("synthetic abort", degree=9, value=None)
-    monkeypatch.setattr(cli, "_height_with_beta_p", boom)
+    monkeypatch.setattr(cli, "brauer_generators", boom)
     code = run(["height", "--quartic", "fermat", "--primes", "5"])
     assert code == 2
     assert "integrality abort" in capsys.readouterr().err
@@ -283,6 +283,27 @@ def test_landweber_hmax_below_one_is_a_usage_error(route, capsys):
     assert out == ""
 
 
+def test_landweber_scenario_hmax_alone_sets_the_window(capsys):
+    # the scenario's logarithm is built through 3^3 + 1 = 28, so h_max 3
+    # needs no further option
+    code = run(["landweber", "--scenario", "hazewinkel-t1", "--p", "3",
+                "--hmax", "3", "--format", "json", "--no-timestamp"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["stabilization"]) == ("exact", 2)
+
+
+@pytest.mark.parametrize("command", [
+    ["landweber", "--scenario", "hazewinkel-t1"],
+    ["certify", "--quartic", "fermat", "--ring", "zp", "--p", "5"]])
+def test_cap_is_not_an_option(command, capsys):
+    # h_max alone sets the window p^h_max + 1
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--cap", "10"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --cap 10" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra", [["--ring", "zp"], ["--law", "additive"],
                                    ["--ring", "zp", "--law", "additive"]])
 def test_landweber_scenario_with_a_law_is_a_usage_error(extra, capsys):
@@ -327,19 +348,33 @@ def test_certify_requires_a_mode(capsys):
     assert run(["certify", "--quartic", "fermat"]) == 1
 
 
+def test_height_and_certify_agree_on_a_quartic_p_divides(tmp_path, capsys):
+    # 3 * fermat has no reduction mod 3: a usage error for both commands,
+    # not a refused certificate
+    qf = tmp_path / "triple.quartic"
+    qf.write_text(k3brauer.QuarticForm(
+        {e: 3 * c for e, c in named_quartic("fermat").terms.items()},
+        name="triple").dumps())
+    for argv in (["height", "--quartic", str(qf), "--primes", "3"],
+                 ["certify", "--quartic", str(qf), "--ring", "zp", "--p",
+                  "3", "--no-timestamp"]):
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert code == 1, argv
+        assert "3 divides every coefficient of triple" in err
+        assert out == ""
+
+
 @pytest.mark.parametrize("extra", [["--ring", "zp"], ["--p", "7"],
-                                   ["--cap", "9"],
                                    ["--ring", "zp", "--p", "7"],
                                    ["--hmax", "5"]])
 def test_certify_rational_with_p_local_options_is_a_usage_error(extra,
                                                                  capsys):
-    # --ring, --p, --cap and --hmax would be ignored by the rational
-    # certificate
+    # --ring, --p and --hmax would be ignored by the rational certificate
     code = run(["certify", "--quartic", "fermat", "--rational", *extra])
     out, err = capsys.readouterr()
     assert code == 1
-    assert ("--rational cannot be combined with --ring, --p, --cap or --hmax"
-            in err)
+    assert "--rational cannot be combined with --ring, --p or --hmax" in err
     assert out == ""
 
 
@@ -369,6 +404,18 @@ def test_selftest_unknown_check(capsys):
     # the help text does not list the checks, so the error must
     err = capsys.readouterr().err
     assert all(name in err for name in acceptance.CHECKS)
+
+
+def test_selftest_rejects_unknown_names_before_any_check_runs(monkeypatch,
+                                                              capsys):
+    ran = []
+    monkeypatch.setitem(acceptance.CHECKS, "fgl-axioms",
+                        lambda profile: ran.append(profile) or (True, ""))
+    assert run(["selftest", "--only", "fgl-axioms,nope"]) == 1
+    out, err = capsys.readouterr()
+    assert ran == []
+    assert "unknown check 'nope'" in err
+    assert out == ""
 
 
 def test_selftest_reports_failures(monkeypatch, capsys):

@@ -109,23 +109,6 @@ def test_escalated_landweber_report_equals_full_window(name, p, monkeypatch):
         p_series_report(R, source, h_max).to_json_dict()
 
 
-def test_window_above_p_to_the_h_max():
-    # landweber --cap reads every degree p^n <= cap, as the p-series route
-    # scanned the whole window: a unit past h_max still decides, and an
-    # undecided report lists v_0, ..., v_(h_max) only
-    R, log, _ = builtin_scenario("hazewinkel-t1", 3, cap=10)
-    additive = standard_law("additive", QQ, 28)
-    cases = [(R, log, 1), (zp_presentation(3), additive, 2)]
-    reports = [landweber_check(*case, cap=case[1].cap) for case in cases]
-    assert (reports[0].closed_fibre_height.value, reports[0].verdict) == \
-        (2, "exact")
-    assert reports[1].closed_fibre_height.kind == "at_least"
-    assert reports[1].vs == [3, 0, 0]
-    for case, report in zip(cases, reports):
-        oracle = p_series_report(*case, cap=case[1].cap)
-        assert _routes_agree(report, oracle, case[1].ring) == 0
-
-
 def _hazewinkel_case(draw, p):
     R = RingPresentation(Prime(p), ("t",), 8, ())
     base = R.base_ring

@@ -19,8 +19,10 @@ from formalbrauer.errors import (
 )
 from formalbrauer.fgl import (
     FormalGroupLaw,
+    HeightResult,
     Logarithm,
     PSeries,
+    closed_fibre_height,
     count_points,
     elliptic_fgl,
     elliptic_ss_oracle,
@@ -460,6 +462,30 @@ def test_hazewinkel_generators_stop_at_the_first_unit():
         raise AssertionError("read past the deciding coefficient")
 
     assert list(hazewinkel_generators(ells(), Prime(3))) == [rat(1)]
+
+
+def _guarded(ells, n):
+    """The first n of ells; asking for one more fails the test."""
+    for _, ell in zip(range(n), ells):
+        yield ell
+    raise AssertionError(f"read past l_{n}")
+
+
+@pytest.mark.parametrize("v, h_max, want", [
+    ([1], 3, HeightResult("finite", 1, first_nonzero_degree=3)),
+    ([3, 1], 3, HeightResult("finite", 2, first_nonzero_degree=9)),
+    ([3, 3, 1], 2, HeightResult("at_least", 2)),
+])
+def test_closed_fibre_height_reads_no_coefficient_past_the_deciding_one(
+        v, h_max, want):
+    # v_1 = 1 decides at l_1 and v_2 = 1 at l_2; with h_max 2, v = (3, 3, 1)
+    # stops undecided after l_2, the unit v_3 unread
+    log = hazewinkel_log(v, Prime(3), 3 ** len(v) + 1)
+    n = len(v) if want.is_finite else h_max
+    h, vs = closed_fibre_height(
+        _guarded(_p_power_coefficients(log, 3), n), Prime(3), h_max)
+    assert h == want
+    assert vs == v[:n]
 
 
 def test_hazewinkel_generators_raise_on_a_denominator():
