@@ -14,7 +14,8 @@ timing data of the same kind).
 
 The process pool, csv, datetime and the acceptance suite are imported inside
 the commands that use them: for a narrow question, start-up costs more than
-the computation.
+the computation. For the same reason the argparse tree is built on the first
+`main` call, not at import, and reused by every later call in the process.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import io
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from time import perf_counter
 
@@ -58,7 +60,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@cache
 def _build_parser() -> _Parser:
+    # Reusable across calls: the append options default to None, so argparse
+    # starts a fresh list per parse, each parse fills a fresh namespace, and
+    # error, usage and --version look up sys.stdout and sys.stderr when they
+    # run.
     parser = _Parser(prog="formalbrauer",
                      description="formal Brauer groups of quartic surfaces: "
                                  "heights, exactness reports, certificates")
@@ -205,9 +212,11 @@ def cmd_height(ns) -> int:
     if ns.jobs < 1:
         raise ValueError("--jobs must be >= 1")
     cells = [(f, p, ns.hmax) for f in quartics for p in primes]
-    if ns.jobs > 1:
+    # a pool forks all its workers up front, so never more than the cells
+    workers = min(ns.jobs, len(cells))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_height_cell, cells))
     else:
         rows = [_height_cell(c) for c in cells]

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism, parallel grids."""
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from formalbrauer import acceptance, cli, k3brauer
+from formalbrauer import __version__, acceptance, cli, k3brauer
 from formalbrauer.errors import NonIntegral
 from formalbrauer.k3brauer import beta_coefficient, named_quartic
 
@@ -121,6 +122,43 @@ def test_height_grid_in_parallel_matches_frozen_output(capsys):
     for label, cell in sorted(HEIGHT_GRID.items()):
         assert run(cell["argv"] + ["--jobs", "2"]) == 0, label
         assert capsys.readouterr().out == cell["stdout"], label
+
+
+@pytest.mark.parametrize("quartics,primes,jobs,pool", [
+    (["fermat"], "5", "64", []),             # one cell: serial, no pool
+    (["fermat"], "5,13", "64", [2]),
+    (["fermat", "diag-1248"], "5,13", "3", [3]),
+], ids=["one-cell", "two-cells", "four-cells"])
+def test_height_jobs_are_capped_at_the_cell_count(quartics, primes, jobs,
+                                                  pool, monkeypatch, capsys):
+    # a pool forks all max_workers up front, so asking for more than the
+    # cells would fork idle workers; the recorder maps serially and forks
+    # nothing
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    argv = ["height", *(a for q in quartics for a in ("--quartic", q)),
+            "--primes", primes, "--format", "json", "--no-timestamp"]
+    assert run(argv + ["--jobs", jobs]) == 0
+    parallel = capsys.readouterr().out
+    assert asked == pool
+    assert run(argv) == 0
+    assert parallel == capsys.readouterr().out
+    assert asked == pool
 
 
 def test_height_cell_builds_one_extractor(monkeypatch, capsys):
@@ -432,6 +470,44 @@ def test_selftest_reports_failures(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_reused_parser_carries_nothing_from_one_call_to_the_next(capsys):
+    height = ["height", "--primes", "5", "--format", "json",
+              "--no-timestamp"]
+    assert run(height + ["--quartic", "fermat", "--quartic",
+                         "diag-1248"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 2
+    assert run(height + ["--quartic", "fermat"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["quartic"] for r in rows] == ["fermat"]
+
+    selftest = ["selftest", "--caps", "tiny", "--only"]
+    assert run(selftest + ["fermat-dichotomy"]) == 0
+    assert run(selftest + ["height-bound"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in out] == [
+        ["PASS", "fermat-dichotomy"], ["1/1", "checks"],
+        ["PASS", "height-bound"], ["1/1", "checks"]]
+
+    # a usage error right after a success still prints usage to stderr
+    with pytest.raises(SystemExit) as exc:
+        run(["height", "--primes", "5"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out == ""
+    assert err.startswith("usage: formalbrauer height ")
+    assert "the following arguments are required: --quartic" in err
+
+    with pytest.raises(SystemExit) as exc:
+        run(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (f"formalbrauer {__version__}\n", "")
+
+
+# ---------------------------------------------------------------------------
 # start-up
 # ---------------------------------------------------------------------------
 
@@ -440,20 +516,27 @@ DEFERRED = ("concurrent.futures", "multiprocessing", "csv", "datetime",
             "formalbrauer.acceptance")
 
 # Runs in a fresh interpreter, since this one has already imported some of
-# DEFERRED: imports the package and its CLI, then runs one command per
-# deferred import, printing which of DEFERRED are loaded before the first
-# command and after each.
+# DEFERRED and built the parser: counts the argparse parsers built, imports
+# the package and its CLI, then runs one command per deferred import,
+# printing which of DEFERRED are loaded, and the progs of the parsers built
+# so far, before the first command and after each.
 STARTUP_PROBE = textwrap.dedent("""
-    import contextlib, io, json, sys
+    import argparse, contextlib, io, json, sys
+    built = []
+    init = argparse.ArgumentParser.__init__
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+    argparse.ArgumentParser.__init__ = counting_init
     import formalbrauer, formalbrauer.cli
     deferred = json.loads(sys.argv[1])
     commands = json.loads(sys.argv[2])
-    seen = [[m for m in deferred if m in sys.modules]]
+    seen = [([m for m in deferred if m in sys.modules], list(built))]
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             code = formalbrauer.cli.main(argv)
         assert code == 0, (argv, code)
-        seen.append([m for m in deferred if m in sys.modules])
+        seen.append(([m for m in deferred if m in sys.modules], list(built)))
     print(json.dumps(seen))
 """)
 
@@ -472,7 +555,13 @@ def test_startup_defers_imports_to_the_commands_that_use_them():
          json.dumps(commands)],
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    seen = [set(s) for s in json.loads(proc.stdout)]
+    steps = json.loads(proc.stdout)
+    # no parser at import; one tree, root and four subcommands, on the
+    # first command, reused by the other four
+    tree = ["formalbrauer", "formalbrauer height", "formalbrauer landweber",
+            "formalbrauer certify", "formalbrauer selftest"]
+    assert [built for _, built in steps] == [[]] + [tree] * len(commands)
+    seen = [set(loaded) for loaded, _ in steps]
     assert seen == [
         set(),                                   # import only
         set(),                                   # json, no timestamp
