@@ -31,7 +31,12 @@ from time import perf_counter
 from . import __version__
 from .coefficients import QQ, Prime, is_prime
 from .errors import CapTooSmall, CertificationRefused, NonIntegral
-from .k3brauer import QuarticForm, brauer_generators, named_quartic
+from .k3brauer import (
+    BUILTIN_QUARTICS,
+    QuarticForm,
+    brauer_generators,
+    named_quartic,
+)
 from .landweber import (
     SCENARIOS,
     builtin_scenario,
@@ -50,6 +55,9 @@ EXIT_REFUSED = 3
 HEIGHT_COLUMNS = ("quartic", "prime", "kind", "value",
                   "first_nonzero_degree", "beta_p_mod_p", "ordinary",
                   "wall_ms")
+QUARTIC_HELP = ("built-in name (fermat, diag-1248, fermat-cross), which wins "
+                "over a file of that name, or a quartic file: a path with "
+                "'/', a name ending in .quartic, or any other existing file")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,9 +84,7 @@ def _build_parser() -> _Parser:
     hp = sub.add_parser("height", help="height census over (quartic, prime)",
                         description="CSV columns: " + ",".join(HEIGHT_COLUMNS))
     hp.add_argument("--quartic", action="append", required=True,
-                    metavar="NAME|PATH",
-                    help="built-in name (fermat, diag-1248, fermat-cross) or "
-                         "a quartic file; repeatable")
+                    metavar="NAME|PATH", help=QUARTIC_HELP + "; repeatable")
     hp.add_argument("--primes", required=True,
                     help="comma-separated odd primes, e.g. 5,13")
     hp.add_argument("--hmax", type=int, default=1,
@@ -108,7 +114,8 @@ def _build_parser() -> _Parser:
     lp.add_argument("--no-timestamp", action="store_true")
 
     cp = sub.add_parser("certify", help="emit a K3 spectrum certificate")
-    cp.add_argument("--quartic", required=True, metavar="NAME|PATH")
+    cp.add_argument("--quartic", required=True, metavar="NAME|PATH",
+                    help=QUARTIC_HELP)
     cp.add_argument("--rational", action="store_true",
                     help="certificate over the rationals")
     cp.add_argument("--ring", choices=("zp",), default=None)
@@ -134,8 +141,11 @@ def _build_parser() -> _Parser:
 
 
 def _load_quartic(ref: str) -> QuarticForm:
-    if "/" in ref or ref.endswith(".quartic") or Path(ref).is_file():
-        path = Path(ref)
+    # built-in names hold no '/' and no .quartic, so they are read first
+    if ref in BUILTIN_QUARTICS:
+        return BUILTIN_QUARTICS[ref]
+    path = Path(ref)
+    if "/" in ref or ref.endswith(".quartic") or path.is_file():
         if not path.is_file():
             raise ValueError(f"quartic file not found: {ref}")
         return QuarticForm.parse(path.read_text(), name=path.stem)

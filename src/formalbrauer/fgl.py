@@ -18,8 +18,9 @@ Ideal membership in the base A = Z_(p)[t_1..t_k]/(deg > cap) uses that A is
 local with maximal ideal (p, t_1, ..., t_k): for p-integral generators and
 elements, the ideal contains 1 exactly when some generator is a unit at the
 closed point, and then contains every element; otherwise it contains no
-unit. Everything else, and every input with p in a denominator, is decided
-by one elimination per list of elements (ideal_contains_all).
+unit. Everything else, and every input with p in a denominator, goes to a
+sparse elimination that pivots from the target, on an entry minimal in its
+row, and builds only the rows it touches (ideal_contains_all).
 """
 
 from __future__ import annotations
@@ -358,63 +359,61 @@ def height(ps: PSeries, h_max: int) -> HeightResult:
 # ---------------------------------------------------------------------------
 
 
-def _p_integral_solvable(rows, vals, targets, p: int) -> list:
+def _p_integral_solvable(row, column, targets, p: int) -> list:
     """For each target b, does b = sum_j y_j * (column j) admit p-integral
     rational y?
 
-    The system comes as its rows: rows maps a row key to {column: entry},
-    nonzero entries only, and vals maps it to {column: val_p(entry)}; both
-    are consumed. Each target is a dict row key -> rational. Sparse Gaussian
-    elimination over the valuation ring Z_(p): a column -> rows index says
-    which rows a pivot touches, and every target is carried along as one
-    more right-hand side.
+    The system comes as a row source: row(i) gives row i's original entries
+    as {column: entry}, nonzero entries only, and column(j) the rows where
+    column j is originally nonzero. Each target is a dict row key ->
+    rational. Sparse Gaussian elimination over the valuation ring Z_(p),
+    with every target carried along as one more right-hand side. It builds
+    only the rows it touches: a row that no update has touched still holds
+    its original entries, so it is built the first time a target or a
+    pivot column reaches it.
 
-    Invariant: every pivot is an entry of globally minimal valuation among
-    the active rows. Subtracting f * (pivot row) with val(f) >= 0 leaves
-    every entry at valuation >= the pivot's, so the minimal valuation never
-    decreases, every multiplier is p-integral, and the search for the next
-    pivot may stop at the first entry that attains the previous minimum.
-    The pivot is in particular minimal in its own row, so once its column is
-    cleared, zeroing the rest of the pivot row is a column operation with
-    p-integral multipliers: a unimodular change of variables that touches
-    neither a target nor any other row. Dropping the pivot row from the
-    active set stands for it. The system ends diagonal, so a target b is
-    solvable iff val(b) >= val(pivot) on each pivot row and b = 0 on every
-    row left without entries; each is checked as soon as that row's b is
-    final. A target is dropped at its first failure and is solvable once
-    what is left of it is zero; the elimination stops when every target is
-    decided.
+    Invariant: each pivot is taken in the first live target's support, in
+    the row there of least minimal valuation, on an entry minimal in its
+    row. Clearing the pivot column is a row operation; whatever its
+    multipliers, it keeps the solution set over Q. Because the pivot is
+    minimal in its own row, zeroing the rest of the pivot row is a column
+    operation with p-integral multipliers: a unimodular change of variables
+    that touches neither a target nor any other row. The pivot row is then
+    alone in its column, so no later operation touches it: it leaves the
+    system with its b final, and the pivot equation piv * y' = b decides it,
+    val(b) >= val(piv). Nor does any touch a row without entries, so a
+    target fails where it is nonzero on one; it is solvable once what is
+    left of it is zero. The elimination stops when every target is decided.
     """
     answers = [True] * len(targets)
-    live = {}
-    for k, target in enumerate(targets):
-        b = {i: c for i, c in target.items() if c}
-        if any(i not in rows for i in b):
-            answers[k] = False
-        elif b:
-            live[k] = b
-    col_rows: dict = {}
-    for i, row in rows.items():
-        for j in row:
+    live = {k: {i: c for i, c in b.items() if c}
+            for k, b in enumerate(targets)}
+    rows: dict = {}      # built rows, each {column: entry}; None once pivoted
+    col_rows: dict = {}  # column -> built rows in play that hold it
+
+    def build(i):
+        r = rows[i] = dict(row(i))
+        for j in r:
             col_rows.setdefault(j, set()).add(i)
+        return r
 
-    def row_min(rv):
-        j = min(rv, key=rv.__getitem__)
-        return rv[j], j
-
-    rowmin = {i: row_min(rv) for i, rv in vals.items()}
-    floor = None
-    while live and rowmin:
+    while live:
+        k, b = next(iter(live.items()))
         best = None
-        for i, (v, j) in rowmin.items():
-            if best is None or v < best[0]:
-                best = (v, i, j)
-                if v == floor:
-                    break
-        floor, pi, pj = best
-        del rowmin[pi]
-        prow = rows.pop(pi)
-        del vals[pi]
+        for i in b:
+            r = rows[i] if i in rows else build(i)
+            if not r:
+                answers[k] = False
+                break
+            for j, a in r.items():
+                v = val_p(a, p)
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+        if best is None or not answers[k]:
+            del live[k]
+            continue
+        vpiv, pi, pj = best
+        prow, rows[pi] = rows[pi], None
         for j in prow:
             col_rows[j].discard(pi)
         piv = prow[pj]
@@ -423,21 +422,24 @@ def _p_integral_solvable(rows, vals, targets, p: int) -> list:
             bp = b.pop(pi, None)
             if bp is None:
                 continue
-            if val_p(bp, p) < floor:
+            if val_p(bp, p) < vpiv:
                 answers[k] = False
                 del live[k]
             else:
                 carried.append((b, bp))
+        for i in column(pj):
+            if i not in rows:
+                build(i)
         for i in list(col_rows[pj]):
-            row, rv = rows[i], vals[i]
-            f = row[pj] / piv
+            r = rows[i]
+            f = r[pj] / piv
             for j, a in prow.items():
-                new = row.get(j, 0) - f * a
+                new = r.get(j, 0) - f * a
                 if new:
-                    row[j], rv[j] = new, val_p(new, p)
+                    r[j] = new
                     col_rows[j].add(i)
                 else:
-                    del row[j], rv[j]
+                    del r[j]
                     col_rows[j].discard(i)
             for b, bp in carried:
                 nb = b.get(i, 0) - f * bp
@@ -445,49 +447,36 @@ def _p_integral_solvable(rows, vals, targets, p: int) -> list:
                     b[i] = nb
                 else:
                     b.pop(i, None)
-            if row:
-                rowmin[i] = row_min(rv)
-            else:
-                del rows[i], vals[i], rowmin[i]
-                for k in [k for k, b in live.items() if i in b]:
-                    answers[k] = False
-                    del live[k]
-        for k in [k for k, b in live.items() if not b]:
-            del live[k]
     return answers
 
 
-def _shifted_rows(generators, ring: TruncPolyRing, p: int):
-    """The rows of the membership system for the generators (nonzero
-    elements of ring), in the shape _p_integral_solvable takes. Its columns
-    are the products m * g for each generator g and each monomial m of the
-    ring with m * g inside the degree cap: each term of g is shifted by m,
-    and terms above the cap are dropped, as TruncPoly multiplication would.
-    Each term's valuation is computed once per generator."""
+def _shifted_system(generators, ring: TruncPolyRing):
+    """The row source (row, column) of the membership system for the
+    generators (nonzero elements of ring), in the shape
+    _p_integral_solvable takes. Column (k, m) is m * g_k for a monomial m,
+    truncated at the cap as TruncPoly multiplication would: it holds e + m
+    for each term c * t^e of generator k with deg(e + m) <= cap. Row i is
+    {(k, i - e): c} over the terms c * t^e of generator k with e <= i."""
     cap = ring.cap
-    monomials = [(m, sum(m)) for m in itertools.product(
-        range(cap + 1), repeat=len(ring.variables)) if sum(m) <= cap]
-    rows: dict = {}
-    vals: dict = {}
-    j = 0
-    for g in generators:
-        terms = [(e, sum(e), c, val_p(c, p)) for e, c in g.terms.items()]
-        low = min(d for _, d, _, _ in terms)
-        for m, dm in monomials:
-            room = cap - dm
-            if room < low:
-                continue
-            for e, d, c, v in terms:
-                if d <= room:
-                    i = tuple(map(operator.add, e, m))
-                    row = rows.get(i)
-                    if row is None:
-                        row = rows[i] = {}
-                        vals[i] = {}
-                    row[j] = c
-                    vals[i][j] = v
-            j += 1
-    return rows, vals
+    terms = [[(e, sum(e), c) for e, c in g.terms.items()]
+             for g in generators]
+
+    def row(i):
+        out = {}
+        for k, ts in enumerate(terms):
+            for e, _, c in ts:
+                m = tuple(map(operator.sub, i, e))
+                if min(m, default=0) >= 0:
+                    out[k, m] = c
+        return out
+
+    def column(j):
+        k, m = j
+        room = cap - sum(m)
+        return [tuple(map(operator.add, e, m))
+                for e, d, _ in terms[k] if d <= room]
+
+    return row, column
 
 
 def ideal_contains_all(generators, xs, p: Prime, ring) -> list:
@@ -501,10 +490,11 @@ def ideal_contains_all(generators, xs, p: Prime, ring) -> list:
     is A and contains x; if none is, the ideal lies in the maximal ideal and
     contains no unit x. The rule needs that integrality guard: at p = 3,
     (1/3) contains 1 but (1) does not contain 1/3. Every x the rule leaves
-    open is decided by one elimination shared by all of them, which solves
-    for p-integral cofactors; its columns are the monomial multiples of the
-    generators inside the degree cap (_shifted_rows; with no parameters,
-    the generators themselves).
+    open goes to the elimination, which solves for p-integral cofactors of
+    the monomial multiples of the generators inside the degree cap (with no
+    parameters, of the generators themselves). It pivots from the target,
+    on an entry minimal in its row, and builds only the rows it touches
+    (_shifted_system gives them straight from the generators' terms).
     """
     p = p if isinstance(p, Prime) else Prime(int(p))
     if isinstance(ring, RationalField):
@@ -523,7 +513,7 @@ def ideal_contains_all(generators, xs, p: Prime, ring) -> list:
                 answers[k] = unit
     pending = [k for k, a in enumerate(answers) if a is None]
     if pending:
-        solved = _p_integral_solvable(*_shifted_rows(gens, ring, p.p),
+        solved = _p_integral_solvable(*_shifted_system(gens, ring),
                                       [xs[k].terms for k in pending], p.p)
         for k, ok in zip(pending, solved):
             answers[k] = ok

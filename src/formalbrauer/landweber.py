@@ -187,9 +187,11 @@ def _torsion_witness(R: RingPresentation, gens, x):
     then of the monomial; with no parameters the only monomial is 1. A
     witness is only accepted when the product x*y did not hit the truncation
     boundary; otherwise the vanishing could be an artifact of the window.
-    Every candidate and every product kept is asked about in one
-    ideal_contains_all call, so the search costs at most one elimination;
-    the witness is the first candidate that qualifies."""
+    The candidates of each power p^a and their products kept are asked
+    about in one ideal_contains_all call, power after power, and the search
+    stops at the first batch that holds a witness: the first candidate that
+    qualifies. A monomial whose candidate lies in (gens) is dropped from
+    the later powers, whose candidates lie there too."""
     ring = R.base_ring
     half = R.cap // 2
     exps = [e for e in _iproduct(range(half + 1), repeat=len(ring.variables))
@@ -197,14 +199,18 @@ def _torsion_witness(R: RingPresentation, gens, x):
     x = ring.coerce(x)
     if x.truncated:
         return None  # the element's own tail is unknown; stay honest
-    ys = [ring.monomial(e, R.p ** a) for a in range(7) for e in exps]
-    prods = {k: prod for k, prod in enumerate(x * y for y in ys)
-             if not prod.truncated}
-    answers = ideal_contains_all(gens, ys + list(prods.values()), R.prime,
-                                 ring)
-    prod_in = dict(zip(prods, answers[len(ys):]))
-    return next((ys[k] for k in prods if prod_in[k] and not answers[k]),
-                None)
+    for a in range(7):
+        ys = [ring.monomial(e, R.p ** a) for e in exps]
+        prods = {k: prod for k, prod in enumerate(x * y for y in ys)
+                 if not prod.truncated}
+        answers = ideal_contains_all(gens, ys + list(prods.values()),
+                                     R.prime, ring)
+        prod_in = dict(zip(prods, answers[len(ys):]))
+        for k in prods:
+            if prod_in[k] and not answers[k]:
+                return ys[k]
+        exps = [e for e, inside in zip(exps, answers) if not inside]
+    return None
 
 
 def check_regular_sequence(R: RingPresentation, elems) -> list:
@@ -228,8 +234,9 @@ def check_regular_sequence(R: RingPresentation, elems) -> list:
     relations") and each unit test need no elimination: the ideal holds 1
     exactly when one of its generators is a unit at the closed point
     (ideal_contains_all, which eliminates whenever p sits in some
-    denominator). What is left costs at most one elimination per element
-    for its zero test and one for its whole torsion search."""
+    denominator). What is left costs one elimination per element for its
+    zero test and one per power of p its torsion search reaches; each
+    pivots from the target and builds only the rows it touches."""
     verdicts = []
     gens = [R.coerce(r) for r in R.relations]
     consumed: set = set()

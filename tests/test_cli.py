@@ -188,6 +188,28 @@ def test_height_reads_quartic_file(tmp_path, capsys):
     assert doc["rows"][0]["quartic"] == "mine"
 
 
+def test_builtin_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch,
+                                                    capsys):
+    """A file called fermat in the working directory does not replace the
+    built-in fermat; ./fermat, or a file under a name that is no built-in,
+    is still read."""
+    def rows(ref):
+        assert run(["height", "--quartic", ref, "--primes", "5,13,17,29",
+                    "--format", "json", "--no-timestamp"]) == 0
+        return [{k: v for k, v in r.items() if k != "quartic"}
+                for r in json.loads(capsys.readouterr().out)["rows"]]
+
+    fermat, cross = rows("fermat"), rows("fermat-cross")
+    assert fermat != cross
+    cross_terms = named_quartic("fermat-cross").dumps()
+    (tmp_path / "fermat").write_text(cross_terms)
+    (tmp_path / "mine").write_text(cross_terms)
+    monkeypatch.chdir(tmp_path)
+    assert rows("fermat") == fermat
+    assert rows("./fermat") == cross
+    assert rows("mine") == cross
+
+
 # ---------------------------------------------------------------------------
 # landweber and certify
 # ---------------------------------------------------------------------------

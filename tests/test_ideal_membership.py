@@ -1,12 +1,14 @@
-"""p-local ideal membership: the sparse minimum-valuation elimination in
-fgl._p_integral_solvable, one target and several, against the dense
-elimination it replaced, kept here as the oracle; the rows
-fgl._shifted_rows builds against TruncPoly products; the closed-point rule
-of ideal_contains_all against the full elimination; and frozen
-landweber/certify verdicts."""
+"""p-local ideal membership: the target-driven sparse elimination in
+fgl._p_integral_solvable, one target and several, against a dense
+elimination kept here as the oracle; the rows and columns
+fgl._shifted_system gives, and the eager columns the oracle is fed, against
+TruncPoly products; ideal_contains_all, with its closed-point rule, against
+the oracle and against the full elimination; the rows the elimination
+builds; and frozen landweber/certify verdicts."""
 
 import itertools
 import json
+import operator
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -86,29 +88,49 @@ def _rows_of(cols, *targets):
     return sorted(set().union(*targets, *cols))
 
 
-def rows_of_columns(cols, p: int):
-    """The (rows, vals) that fgl._p_integral_solvable takes, for a system
-    given by its column dicts."""
-    rows, vals = {}, {}
+def source_of_columns(cols):
+    """The row source (row, column) that fgl._p_integral_solvable takes, for
+    a system given by its column dicts."""
+    rows = {}
     for j, col in enumerate(cols):
         for i, c in col.items():
             if c:
                 rows.setdefault(i, {})[j] = c
-                vals.setdefault(i, {})[j] = val_p(c, p)
-    return rows, vals
 
+    def row(i):
+        return rows.get(i, {})
 
-def columns_of_rows(rows):
-    """The column dicts of a system given by its rows, in column order."""
-    cols = {}
-    for i, row in rows.items():
-        for j, c in row.items():
-            cols.setdefault(j, {})[i] = c
-    return [cols[j] for j in sorted(cols)]
+    def column(j):
+        return [i for i, c in cols[j].items() if c]
+
+    return row, column
 
 
 def solvable(cols, targets, p: int) -> list:
-    return fgl._p_integral_solvable(*rows_of_columns(cols, p), targets, p)
+    return fgl._p_integral_solvable(*source_of_columns(cols), targets, p)
+
+
+def ring_monomials(ring):
+    return [m for m in itertools.product(range(ring.cap + 1),
+                                         repeat=len(ring.variables))
+            if sum(m) <= ring.cap]
+
+
+def shifted_columns(generators, ring):
+    """The eager columns of the membership system, for the dense oracle: the
+    products m * g for each generator g (nonzero elements of ring) and each
+    monomial m of the ring with m * g inside the degree cap, generator after
+    generator, in monomial order. Each term of g is shifted by m, and terms
+    above the cap are dropped, as TruncPoly multiplication would."""
+    cap = ring.cap
+    cols = []
+    for g in generators:
+        for m in ring_monomials(ring):
+            col = {tuple(map(operator.add, e, m)): c
+                   for e, c in g.terms.items() if sum(e) + sum(m) <= cap}
+            if col:
+                cols.append(col)
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +326,21 @@ def test_pivot_rule_regression_fixture():
 
 def test_landweber_systems_match_dense_oracle(monkeypatch):
     """Every system the Hazewinkel regular-sequence check and the ideal
-    chain pose gets the oracle's answer for each of its targets, and the
-    valuations _shifted_rows cached are those of the entries."""
-    calls = []
-    sparse = fgl._p_integral_solvable
+    chain pose gets the oracle's answer for each of its targets, on the
+    eager columns of its generators."""
+    systems, calls = [], []
+    sparse, source = fgl._p_integral_solvable, fgl._shifted_system
 
-    def recording(rows, vals, targets, p):
-        assert vals == {i: {j: val_p(c, p) for j, c in row.items()}
-                        for i, row in rows.items()}
-        cols = columns_of_rows(rows)   # before the kernel consumes rows
-        got = sparse(rows, vals, targets, p)
-        calls.append((cols, targets, p, got))
+    def recording_source(generators, ring):
+        systems.append(shifted_columns(generators, ring))
+        return source(generators, ring)
+
+    def recording(row, column, targets, p):
+        got = sparse(row, column, targets, p)
+        calls.append((systems[-1], targets, p, got))
         return got
 
+    monkeypatch.setattr(fgl, "_shifted_system", recording_source)
     monkeypatch.setattr(fgl, "_p_integral_solvable", recording)
     three = Prime(3)
     R = RingPresentation(three, ("t1", "t2"), 6, ())
@@ -332,6 +356,7 @@ def test_landweber_systems_match_dense_oracle(monkeypatch):
         rhs.append(ps.v(n))
         assert all(ideal_contains(rhs, x, three, ring) for x in lhs)
         assert all(ideal_contains(lhs, x, three, ring) for x in rhs)
+    assert len(calls) == len(systems)
     assert {ok for *_, got in calls for ok in got} == {True, False}
     for cols, targets, p, got in calls:
         rows = _rows_of(cols, *targets)
@@ -347,23 +372,27 @@ def test_landweber_systems_match_dense_oracle(monkeypatch):
 @pytest.mark.parametrize("params,cap", [(("t",), 7), (("t1", "t2"), 5),
                                        (("t1", "t2", "t3"), 4)])
 def test_shifted_columns_equal_products(params, cap):
-    """The columns of the rows _shifted_rows builds are the nonzero
-    products m * g, generator after generator, in monomial order."""
+    """Column (k, m) of _shifted_system lists the monomials of the product
+    m * g_k, row i holds that product's coefficient at i for every (k, m),
+    and the oracle's eager columns are the nonzero products, generator
+    after generator, in monomial order."""
     ring = TruncPolyRing(params, cap)
     ts = [ring.var(t) for t in params]
     g = ring.from_int(3) + ts[0] * rat(2, 5)
     for k, t in enumerate(ts):
         g = g + t * t * ts[-1] * (k + 1) - t ** 3 * rat(1, 9)
     h = ts[-1] * ts[0] * 6 + ts[0] ** 3 * rat(5, 3)
-    monomials = [e for e in itertools.product(range(cap + 1),
-                                              repeat=len(params))
-                 if sum(e) <= cap]
-    products = [(ring.monomial(m, 1) * gen).terms
-                for gen in (g, h) for m in monomials]
-    rows, vals = fgl._shifted_rows([g, h], ring, 3)
-    assert columns_of_rows(rows) == [t for t in products if t]
-    assert vals == {i: {j: val_p(c, 3) for j, c in row.items()}
-                    for i, row in rows.items()}
+    monomials = ring_monomials(ring)
+    products = {(k, m): (ring.monomial(m, 1) * gen).terms
+                for k, gen in enumerate((g, h)) for m in monomials}
+    row, column = fgl._shifted_system([g, h], ring)
+    for j, terms in products.items():
+        assert sorted(column(j)) == sorted(terms)
+    for i in monomials:
+        assert row(i) == {j: terms[i] for j, terms in products.items()
+                          if i in terms}
+    assert shifted_columns([g, h], ring) == [t for t in products.values()
+                                             if t]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +407,7 @@ def eliminated(generators, x, p: int, ring) -> bool:
     x = ring.coerce(x)
     if not x.terms or not gens:
         return not x.terms
-    [ok] = fgl._p_integral_solvable(*fgl._shifted_rows(gens, ring, p),
+    [ok] = fgl._p_integral_solvable(*fgl._shifted_system(gens, ring),
                                     [x.terms], p)
     return ok
 
@@ -387,10 +416,7 @@ def eliminated(generators, x, p: int, ring) -> bool:
 def integral_elements(draw, ring, p):
     """A p-integral element of ring with up to four terms; its constant
     term, when there is one, is a unit or a multiple of p."""
-    monos = [e for e in itertools.product(range(ring.cap + 1),
-                                          repeat=len(ring.variables))
-             if sum(e) <= ring.cap]
-    terms = draw(st.dictionaries(st.sampled_from(monos),
+    terms = draw(st.dictionaries(st.sampled_from(ring_monomials(ring)),
                                  st.integers(-2, 2), max_size=4))
     x = ring.zero
     for e, k in terms.items():
@@ -443,9 +469,9 @@ def test_closed_point_rule_skips_the_elimination(monkeypatch):
     calls = []
     sparse = fgl._p_integral_solvable
 
-    def counting(rows, vals, targets, p):
+    def counting(row, column, targets, p):
         calls.append(len(targets))
-        return sparse(rows, vals, targets, p)
+        return sparse(row, column, targets, p)
 
     monkeypatch.setattr(fgl, "_p_integral_solvable", counting)
     ring = TruncPolyRing(("t",), 4)
@@ -461,6 +487,79 @@ def test_closed_point_rule_skips_the_elimination(monkeypatch):
     assert ideal_contains([rat(1, 3)], 1, 3, QQ)
     assert not ideal_contains([1], rat(1, 3), 3, QQ)
     assert calls == [1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# ideal_contains_all against the oracle, and the rows it builds
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def local_elements(draw, ring, p):
+    """An element of ring with up to four terms u/w * p^k, k in -2..3, so
+    that p sits in some denominators."""
+    x = ring.zero
+    for e in draw(st.sets(st.sampled_from(ring_monomials(ring)), max_size=4)):
+        x = x + ring.monomial(e, _entry(draw, p))
+    return x
+
+
+@st.composite
+def generator_lists(draw):
+    """(p, ring, generators, targets) over Z_(p)[t1,t2] at cap 1..5: one to
+    three generators and up to three arbitrary targets, plus one
+    combination of the generators' monomial multiples with p-integral
+    cofactors, which always lies in the ideal."""
+    p = draw(st.sampled_from((3, 5)))
+    ring = TruncPolyRing(("t1", "t2"), draw(st.integers(1, 5)))
+    gens = draw(st.lists(local_elements(ring, p).filter(lambda g: g.terms),
+                         min_size=1, max_size=3))
+    targets = draw(st.lists(local_elements(ring, p), max_size=3))
+    inside = ring.zero
+    for g in gens:
+        m = draw(st.sampled_from(ring_monomials(ring)))
+        c = rat(_unit(draw, p, 9) * p ** draw(st.integers(0, 2)),
+                _unit(draw, p, 9))
+        inside = inside + ring.monomial(m, c) * g
+    return p, ring, gens, targets + [inside]
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_lists())
+def test_ideal_contains_all_matches_dense_oracle(case):
+    """ideal_contains_all, closed-point rule and elimination together, gives
+    the dense oracle's answer on the eager columns for every target."""
+    p, ring, gens, targets = case
+    cols = shifted_columns(gens, ring)
+    got = ideal_contains_all(gens, targets, p, ring)
+    assert got == [dense_p_integral_solvable(cols, x.terms, p,
+                                             ring_monomials(ring))
+                   for x in targets]
+    assert got[-1]
+
+
+def test_rows_built_follow_the_question_not_the_ring(monkeypatch):
+    """t1*t2 in (t1) builds the same rows at cap 4 as at cap 12: only those
+    its target and its pivot columns reach."""
+    built = []
+    sparse = fgl._p_integral_solvable
+
+    def counting(row, column, targets, p):
+        def counted_row(i):
+            built.append(i)
+            return row(i)
+        return sparse(counted_row, column, targets, p)
+
+    monkeypatch.setattr(fgl, "_p_integral_solvable", counting)
+    counts = []
+    for cap in (4, 12):
+        ring = TruncPolyRing(("t1", "t2"), cap)
+        t1, t2 = ring.var("t1"), ring.var("t2")
+        built.clear()
+        assert ideal_contains([t1], t1 * t2, 3, ring)
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
+    assert len(set(built)) == len(built)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The torsion search of check_regular_sequence: one multi-target membership
-call per element, against the per-candidate search it replaced, kept here as
-the oracle, which asks ideal_contains about each candidate y and each
-product x*y in turn."""
+call per power of p, stopping at the first that holds a witness, against
+the per-candidate search, kept here as the oracle, which asks
+ideal_contains about each candidate y and each product x*y in turn."""
 
 from itertools import product as _iproduct
 
@@ -11,7 +11,11 @@ from hypothesis import given, settings, strategies as st
 from formalbrauer import fgl, landweber
 from formalbrauer.coefficients import Prime, TruncPolyRing
 from formalbrauer.fgl import ideal_contains
-from formalbrauer.landweber import RingPresentation, check_regular_sequence
+from formalbrauer.landweber import (
+    RingPresentation,
+    builtin_scenario,
+    check_regular_sequence,
+)
 
 
 def per_candidate_torsion_witness(R: RingPresentation, gens, x):
@@ -126,22 +130,47 @@ def test_pinned_torsion_searches(relations, elems, want):
     assert got == oracle
 
 
-def test_torsion_search_runs_one_elimination(monkeypatch):
-    """(3, t1*t2) over Z_(3)[t1,t2] at cap 8: 3 is decided without an
-    elimination, t1*t2 needs one for its zero test and one for the whole
-    torsion search; the unit tests are read at the closed point."""
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_torsion_scenario_stops_at_the_witness_batch(monkeypatch, p):
+    """The torsion scenario's p is a zerodivisor on Z_(p)/(p^2) with
+    witness p: the search asks the batch of p^0 (the product p goes to the
+    elimination; the candidate 1 is settled at the closed point) and the
+    batch of p^1, which holds the witness, and stops there; the oracle
+    finds the same witness."""
     calls = []
     sparse = fgl._p_integral_solvable
 
-    def counting(rows, vals, targets, p):
+    def counting(row, column, targets, p):
         calls.append(len(targets))
-        return sparse(rows, vals, targets, p)
+        return sparse(row, column, targets, p)
+
+    R, *_ = builtin_scenario("torsion", p)
+    gens = [R.coerce(r) for r in R.relations]
+    monkeypatch.setattr(fgl, "_p_integral_solvable", counting)
+    w = landweber._torsion_witness(R, gens, p)
+    assert str(w) == str(p)
+    assert calls == [1, 2]
+    assert per_candidate_torsion_witness(R, gens, p) == w
+
+
+def test_torsion_search_runs_one_elimination(monkeypatch):
+    """(3, t1*t2) over Z_(3)[t1,t2] at cap 8: 3 is decided without an
+    elimination, t1*t2 needs one for its zero test and one per power of 3
+    its torsion search reaches: 1, then 3, where every candidate 3*m lies in
+    (3) and the search ends; the unit tests are read at the closed
+    point."""
+    calls = []
+    sparse = fgl._p_integral_solvable
+
+    def counting(row, column, targets, p):
+        calls.append(len(targets))
+        return sparse(row, column, targets, p)
 
     monkeypatch.setattr(fgl, "_p_integral_solvable", counting)
     R = RingPresentation(THREE, ("t1", "t2"), 8, ())
     t1, t2 = R.base_ring.var("t1"), R.base_ring.var("t2")
     verdicts = check_regular_sequence(R, [3, t1 * t2])
     assert [v.status for v in verdicts] == ["regular", "unknown"]
-    # at most one elimination per element for the zero tests, plus one for
-    # the torsion search
-    assert len(calls) <= 2 + 1
+    # one elimination for the zero test of t1*t2, then one for each of the
+    # batches of 1 and of 3
+    assert len(calls) == 1 + 2
