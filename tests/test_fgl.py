@@ -36,6 +36,8 @@ from formalbrauer.fgl import (
     standard_law,
     unit_at_closed_point,
 )
+from formalbrauer.k3brauer import named_quartic
+from formalbrauer.landweber import LAW_CAP, RingPresentation, certify_k3_spectrum
 from formalbrauer.series import Series
 from p_series_oracle import landweber_chain
 
@@ -136,6 +138,127 @@ def test_commutativity_defect_at_the_cap_is_caught():
         Series(QQ, ("X", "Y"), cap, {(5, 1): rat(1)})))
     assert not skew.is_commutative()
     assert FormalGroupLaw(skew.F.truncate(cap - 1)).is_commutative()
+
+
+# ---------------------------------------------------------------------------
+# associativity by one nested build, against two substitutions
+# ---------------------------------------------------------------------------
+
+
+def _two_substitution_associative(law):
+    """The oracle: F(F(X,Y),Z) and F(X,F(Y,Z)), each by one general
+    trivariate substitution, compared up to the cap."""
+    rng = law.ring
+    cap = law.cap
+    XYZ = ("X", "Y", "Z")
+    x = Series.variable(rng, cap, "X", XYZ)
+    z = Series.variable(rng, cap, "Z", XYZ)
+    # substituting bare variables is a relabelling
+    fxy = law.F.remap(XYZ)
+    fyz = law.F.remap(XYZ, {"X": "Y", "Y": "Z"})
+    return law.F.subst([fxy, z]) == law.F.subst([x, fyz])
+
+
+@st.composite
+def _candidate_laws(draw):
+    """A candidate X + Y + ... over QQ or Q[t]/(t^3) at cap 2..7: random
+    terms (symmetrised or not), a law from a random logarithm, or such a law
+    plus a defect, X^a Y^b + X^b Y^a or X^a Y^b alone, at the cap or below
+    it."""
+    ring = draw(st.sampled_from([QQ, TruncPolyRing(("t",), 2)]))
+    cap = draw(st.integers(2, 7))
+
+    def coefficient():
+        c = ring.coerce(rat(draw(st.integers(-3, 3)), draw(st.integers(1, 3))))
+        if ring is not QQ:
+            c = c + ring.coerce(draw(st.integers(-2, 2))) * ring.var("t")
+        return c
+
+    kind = draw(st.sampled_from(["random", "commutative", "log",
+                                 "log+defect", "log+skew"]))
+    x, y = _xy(ring, cap)
+    if kind in ("random", "commutative"):
+        exps = draw(st.lists(st.tuples(st.integers(1, cap - 1),
+                                       st.integers(1, cap - 1))
+                             .filter(lambda e: sum(e) <= cap),
+                             min_size=1, max_size=4))
+        terms = {}
+        for a, b in exps:
+            c = coefficient()
+            terms[(a, b)] = c
+            if kind == "commutative":
+                terms[(b, a)] = c
+        return FormalGroupLaw(x.add(y).add(Series(ring, ("X", "Y"), cap, terms)))
+    log = Logarithm(Series.univariate(
+        ring, cap, {1: 1, **{d: coefficient() for d in range(2, cap + 1)}}))
+    law = fgl_from_log(log, cap)
+    if kind == "log":
+        return law
+    total = draw(st.integers(2, cap))
+    a = draw(st.integers(1, total - 1))
+    terms = {(a, total - a): ring.one}
+    if kind == "log+defect":
+        terms[(total - a, a)] = ring.one
+    defect = Series(ring, ("X", "Y"), cap, terms)
+    return FormalGroupLaw(law.F.add(defect))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_candidate_laws())
+def test_associativity_matches_two_substitutions(law):
+    assert law.is_associative() == _two_substitution_associative(law)
+    if law.provenance == "from-logarithm":
+        assert law.is_associative()
+
+
+def _counting_nests(monkeypatch, fn, *args):
+    """fn(*args) and the number of Series.nested calls it made."""
+    calls = []
+    nested = Series.nested
+
+    def counting_nested(self):
+        calls.append(1)
+        return nested(self)
+
+    monkeypatch.setattr(Series, "nested", counting_nested)
+    try:
+        return fn(*args), len(calls)
+    finally:
+        monkeypatch.setattr(Series, "nested", nested)
+
+
+def _certificate_law(name):
+    """The law the p = 5, h_max = 2 certificate of a built-in quartic
+    embeds, at cap min(LAW_CAP, 26)."""
+    return certify_k3_spectrum(RingPresentation(Prime(5)),
+                               named_quartic(name), 2).law
+
+
+def test_a_commutative_law_is_checked_with_one_nested_build(monkeypatch):
+    law = _certificate_law("fermat")
+    assert law.cap == LAW_CAP
+    _, nests = _counting_nests(monkeypatch, law.verify_axioms)
+    assert nests == 1
+
+
+def test_a_noncommutative_law_builds_both_nests(monkeypatch):
+    x, y = _xy(QQ, 4)
+    skew = FormalGroupLaw(x.add(y).add(x.mul(x).mul(y).scalar_mul(2)))
+    got, nests = _counting_nests(monkeypatch, skew.is_associative)
+    assert nests == 2
+    assert got == _two_substitution_associative(skew)
+
+
+@pytest.mark.parametrize("name", ["fermat", "diag-1248", "fermat-cross"])
+def test_certificate_law_loses_its_check_to_a_defect_at_law_cap(name):
+    # X^9 Y + X Y^9 changes the law only in degree LAW_CAP = 10, the top
+    # degree of the check, where a dropped term would hide the defect
+    law = _certificate_law(name)
+    assert law.cap == LAW_CAP
+    law.verify_axioms()
+    bad = FormalGroupLaw(law.F.add(_symmetric(QQ, LAW_CAP, 9, 1)))
+    with pytest.raises(ValueError, match="not associative"):
+        bad.verify_axioms()
 
 
 # ---------------------------------------------------------------------------
