@@ -9,7 +9,6 @@ from .errors import (
     CapTooSmall,
     CertificationRefused,
     DivisionFailure,
-    FirstNonzeroNotPPower,
     FormalBrauerError,
     NonIntegral,
     NotAUnit,
@@ -28,7 +27,6 @@ from .fgl import (
     fgl_from_log,
     hazewinkel_generators,
     hazewinkel_log,
-    height,
     ideal_contains,
     ideal_contains_all,
     log_from_fgl,
@@ -59,10 +57,10 @@ __all__ = [
     "__version__",
     "QQ", "Prime", "rat",
     "FormalBrauerError", "NonIntegral", "DivisionFailure", "NotAUnit",
-    "RingMismatch", "CapTooSmall", "FirstNonzeroNotPPower", "SingularCurve",
+    "RingMismatch", "CapTooSmall", "SingularCurve",
     "SmoothnessCheckFailed", "CertificationRefused",
     "Logarithm", "FormalGroupLaw", "PSeries", "HeightResult",
-    "standard_law", "fgl_from_log", "log_from_fgl", "p_series", "height",
+    "standard_law", "fgl_from_log", "log_from_fgl", "p_series",
     "ideal_contains", "ideal_contains_all", "hazewinkel_log",
     "hazewinkel_generators",
     "elliptic_fgl", "count_points", "elliptic_ss_oracle",

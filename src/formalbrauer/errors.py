@@ -34,11 +34,6 @@ class CapTooSmall(FormalBrauerError):
     """A truncation cap is too small for the requested computation."""
 
 
-class FirstNonzeroNotPPower(FormalBrauerError):
-    """The reduced p-series has its first nonzero term in a degree that is
-    not a power of p; the input was not a formal group p-series."""
-
-
 class SingularCurve(FormalBrauerError):
     """Weierstrass coefficients with vanishing discriminant."""
 

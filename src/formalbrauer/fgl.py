@@ -11,8 +11,8 @@ v_1, v_2, ..., read off the logarithm's coefficients at T^(p^n) alone
 height of the closed fibre, the least n with v_n a unit there
 (closed_fibre_height). The p-series
 [p](T) = a_0 T + a_1 T^2 + ... (a_i multiplies T^(i+1), a_0 = p) has
-a_(p^n - 1) = v_n mod I_n; it and its height scan stay as the independent
-route the acceptance suite and the tests check against.
+a_(p^n - 1) = v_n mod I_n; p_series builds it from a logarithm for the
+tests, whose oracle (tests/p_series_oracle.py) reads heights off it.
 
 Ideal membership in the base A = Z_(p)[t_1..t_k]/(deg > cap) uses that A is
 local with maximal ideal (p, t_1, ..., t_k): for p-integral generators and
@@ -39,7 +39,6 @@ from .coefficients import (
 )
 from .errors import (
     CapTooSmall,
-    FirstNonzeroNotPPower,
     NonIntegral,
     RingMismatch,
     SingularCurve,
@@ -236,9 +235,8 @@ def log_from_fgl(law: FormalGroupLaw, cap: int | None = None) -> Logarithm:
 
 @dataclass
 class PSeries:
-    """[p](T) = a_0 T + a_1 T^2 + ... with a_0 = p, over the law's own
-    coefficient ring (QQ or a TruncPolyRing); height reads it at the closed
-    point of the p-local base."""
+    """[p](T) = a_0 T + a_1 T^2 + ... with a_0 = p, over its source's own
+    coefficient ring (QQ or a TruncPolyRing)."""
 
     p: Prime
     series: Series
@@ -271,38 +269,24 @@ class PSeries:
         return self.a(self.p.p ** n - 1)
 
 
-def p_series(source, p: Prime, cap: int) -> PSeries:
-    """[p](T), by the logarithm route when given a Logarithm, or by the
-    p-fold iterate F(... F(F(T,T),T) ..., T) when given a law.
-
-    The logarithm route solves l([p](T)) = p l(T) for [p] by one Newton
-    iteration (Series.solve, starting from pT); it only does univariate
-    work. The iterate is the independent cross-check at small caps. Both
-    are oracles for the v_n that hazewinkel_generators reads.
+def p_series(log: Logarithm, p: Prime, cap: int) -> PSeries:
+    """[p](T) of a logarithm: one Newton iteration (Series.solve, starting
+    from pT) solves l([p](T)) = p l(T) for [p], with univariate work only.
+    It is an oracle for the v_n that hazewinkel_generators reads.
     """
     p = p if isinstance(p, Prime) else Prime(int(p))
-    if isinstance(source, Logarithm):
-        if source.cap < cap:
-            raise CapTooSmall(f"logarithm cap {source.cap} < requested {cap}")
-        l = source.series.truncate(cap)
-        return PSeries(p, l.solve(l.scalar_mul(l.ring.from_int(p.p))))
-    if isinstance(source, FormalGroupLaw):
-        if source.cap < cap:
-            raise CapTooSmall(f"law cap {source.cap} < requested {cap}")
-        F = source.F.truncate(cap)
-        t = Series.variable(source.ring, cap, "T")
-        acc = t
-        for _ in range(p.p - 1):
-            acc = F.subst([acc, t])
-        return PSeries(p, acc)
-    raise RingMismatch(f"cannot build a p-series from {type(source)}")
+    if not isinstance(log, Logarithm):
+        raise RingMismatch(f"cannot build a p-series from {type(log)}")
+    if log.cap < cap:
+        raise CapTooSmall(f"logarithm cap {log.cap} < requested {cap}")
+    l = log.series.truncate(cap)
+    return PSeries(p, l.solve(l.scalar_mul(l.ring.from_int(p.p))))
 
 
 @dataclass(frozen=True)
 class HeightResult:
     """Finite(h) when the closed fibre has height h, witnessed in degree
-    p^h (v_h the first unit, or the p-series' first coefficient that is a
-    unit at the closed point);
+    p^h (v_h the first unit at the closed point);
     AtLeast(bound) when nothing through degree p^bound decides. Infinite
     height is never asserted from a finite cap."""
 
@@ -324,36 +308,6 @@ class HeightResult:
         if self.is_finite:
             return f"finite height {self.value} (first nonzero degree {self.first_nonzero_degree})"
         return f"height at least {self.value} (zero through degree stated bound)"
-
-
-def height(ps: PSeries, h_max: int) -> HeightResult:
-    """Height of the closed fibre of a p-series, read at the closed point
-    (every parameter set to 0, then mod p) of its p-local base.
-
-    The first coefficient, in degree order, that is not p-integral raises
-    NonIntegral. Otherwise the first coefficient that is a unit at the
-    closed point decides: in degree p^h it gives Finite(h), elsewhere
-    FirstNonzeroNotPPower. With none through the cap: AtLeast(h_max), which
-    needs cap >= p^h_max to be meaningful.
-    """
-    check_integral(ps.series, ps.p)
-    p = ps.p.p
-    if ps.cap < p ** h_max:
-        raise CapTooSmall(
-            f"cap {ps.cap} < p^h_max = {p ** h_max}; cannot certify AtLeast({h_max})")
-    for (d,), c in sorted(ps.series.coeffs.items()):
-        if not unit_at_closed_point(c, ps.p):
-            continue
-        h, dd = 0, d
-        while dd % p == 0:
-            dd //= p
-            h += 1
-        if dd != 1:
-            raise FirstNonzeroNotPPower(
-                f"first nonzero coefficient of [p] mod {p} in degree {d}, "
-                f"not a power of {p}")
-        return HeightResult("finite", h, first_nonzero_degree=d)
-    return HeightResult("at_least", h_max)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ regular sequence with v_h a unit, where h is the height of the closed fibre.
 The v_n are read off the logarithm's coefficients at T^(p^n) alone
 (fgl.hazewinkel_generators); v_n is congruent mod (p, v_1, ..., v_{n-1}) to
 the coefficient of T^(p^n) in [p](T), and the p-series stays only as the
-oracle the tests and the acceptance suite compare against.
+oracle the tests compare against.
 When that holds the law is exact (it defines a homology theory via the usual
 base-change functor); when an element is a zerodivisor it is not; and when
 the finite window cannot decide, the verdict says so instead of guessing.

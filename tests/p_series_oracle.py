@@ -1,22 +1,83 @@
 """The p-series route to heights and exactness reports, kept as an oracle.
 
-Exactness reports read Hazewinkel's v_n off the logarithm's p-power
-coefficients (fgl.hazewinkel_generators). The route they replaced builds
-[p](T) over the law's own coefficient ring on escalating windows, reads its
-height at the closed point, and reads v_n = a_(p^n - 1), the coefficient of
-T^(p^n), with I_(p,n) generated by the first p^(n-1) coefficients. It is
-kept here, unchanged, so that the tests can check the two routes against
-each other: the same closed-fibre height, the same ideals, and no status
-that moves between regular or unit and zerodivisor.
+Heights and exactness reports read Hazewinkel's v_n off the logarithm's
+p-power coefficients (fgl.hazewinkel_generators, fgl.closed_fibre_height).
+The route they replaced builds [p](T) over the law's own coefficient ring
+on escalating windows, from a logarithm (fgl.p_series) or by the p-fold
+iterate of a law, reads its height at the closed point (height), and reads
+v_n = a_(p^n - 1), the coefficient of T^(p^n), with I_(p,n) generated by
+the first p^(n-1) coefficients. It is kept here, unchanged, so that the
+tests can check the two routes against each other: the same closed-fibre
+height, the same ideals, and no status that moves between regular or unit
+and zerodivisor.
 """
 
 from dataclasses import dataclass, field
 
-from formalbrauer import landweber
+from formalbrauer import fgl, landweber
 from formalbrauer.coefficients import Prime
-from formalbrauer.errors import CapTooSmall
-from formalbrauer.fgl import PSeries, height, p_series
+from formalbrauer.errors import CapTooSmall, FormalBrauerError
+from formalbrauer.fgl import (
+    FormalGroupLaw,
+    HeightResult,
+    PSeries,
+    check_integral,
+    unit_at_closed_point,
+)
 from formalbrauer.landweber import LandweberReport, check_regular_sequence
+from formalbrauer.series import Series
+
+
+class FirstNonzeroNotPPower(FormalBrauerError):
+    """The reduced p-series has its first nonzero term in a degree that is
+    not a power of p; the input was not a formal group p-series."""
+
+
+def p_series(source, p: Prime, cap: int) -> PSeries:
+    """[p](T) by fgl.p_series when given a Logarithm, or by the p-fold
+    iterate F(... F(F(T,T),T) ..., T) when given a law: the independent
+    cross-check at small caps."""
+    if not isinstance(source, FormalGroupLaw):
+        return fgl.p_series(source, p, cap)
+    p = p if isinstance(p, Prime) else Prime(int(p))
+    if source.cap < cap:
+        raise CapTooSmall(f"law cap {source.cap} < requested {cap}")
+    F = source.F.truncate(cap)
+    t = Series.variable(source.ring, cap, "T")
+    acc = t
+    for _ in range(p.p - 1):
+        acc = F.subst([acc, t])
+    return PSeries(p, acc)
+
+
+def height(ps: PSeries, h_max: int) -> HeightResult:
+    """Height of the closed fibre of a p-series, read at the closed point
+    (every parameter set to 0, then mod p) of its p-local base.
+
+    The first coefficient, in degree order, that is not p-integral raises
+    NonIntegral. Otherwise the first coefficient that is a unit at the
+    closed point decides: in degree p^h it gives Finite(h), elsewhere
+    FirstNonzeroNotPPower. With none through the cap: AtLeast(h_max), which
+    needs cap >= p^h_max to be meaningful.
+    """
+    check_integral(ps.series, ps.p)
+    p = ps.p.p
+    if ps.cap < p ** h_max:
+        raise CapTooSmall(
+            f"cap {ps.cap} < p^h_max = {p ** h_max}; cannot certify AtLeast({h_max})")
+    for (d,), c in sorted(ps.series.coeffs.items()):
+        if not unit_at_closed_point(c, ps.p):
+            continue
+        h, dd = 0, d
+        while dd % p == 0:
+            dd //= p
+            h += 1
+        if dd != 1:
+            raise FirstNonzeroNotPPower(
+                f"first nonzero coefficient of [p] mod {p} in degree {d}, "
+                f"not a power of {p}")
+        return HeightResult("finite", h, first_nonzero_degree=d)
+    return HeightResult("at_least", h_max)
 
 
 def escalating_height(source, p: Prime, h_max: int, cap: int):

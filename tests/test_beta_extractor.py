@@ -10,8 +10,9 @@ from itertools import permutations, product
 from math import comb, prod
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from formalbrauer.acceptance import point_count
 from formalbrauer.coefficients import multinomial
 from formalbrauer.k3brauer import (
     BUILTIN_QUARTICS,
@@ -88,6 +89,23 @@ def random_quartics(draw):
                       (1, 3, 0, 0): 2}), 12)
 def test_extractor_matches_corridor_on_random_quartics(f, m_max):
     _agrees_with_corridor(f, m_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_quartics(), st.sampled_from([3, 5, 7]))
+def test_point_count_is_one_plus_beta_p_mod_p(f, p):
+    """#X(F_p) = 1 + beta_p (mod p) for X = {f = 0} in P^3: summed over
+    F_p^4, f^(p-1) keeps only beta_p (Chevalley-Warning). An oracle for the
+    corridor and, where the exponent vectors have rank 4, the enumeration
+    that rests on the surface's points rather than on f^(p-1)."""
+    assume(any(c % p for c in f.terms.values()))
+    count = point_count(f, p)
+    betas = [power_diagonal(f, p - 1)[p - 1]]
+    ex = BetaExtractor(f)
+    if ex.basis is not None:
+        betas.append(ex._enumerate(p - 1))
+    for beta in betas:
+        assert (count - 1 - beta) % p == 0
 
 
 def test_rank_deficient_and_unreachable_cases():

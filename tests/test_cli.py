@@ -447,13 +447,13 @@ def test_selftest_tiny_passes(capsys):
     code = run(["selftest", "--caps", "tiny"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.count("PASS") == 10
-    assert "10/10 checks passed" in out
+    assert out.count("PASS") == 8
+    assert "8/8 checks passed" in out
 
 
 def test_selftest_only_subset(capsys):
     code = run(["selftest", "--caps", "tiny", "--only",
-                "fermat-dichotomy,ideal-chain"])
+                "fermat-dichotomy,point-count"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("PASS") == 2
@@ -508,11 +508,11 @@ def test_reused_parser_carries_nothing_from_one_call_to_the_next(capsys):
 
     selftest = ["selftest", "--caps", "tiny", "--only"]
     assert run(selftest + ["fermat-dichotomy"]) == 0
-    assert run(selftest + ["height-bound"]) == 0
+    assert run(selftest + ["point-count"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in out] == [
         ["PASS", "fermat-dichotomy"], ["1/1", "checks"],
-        ["PASS", "height-bound"], ["1/1", "checks"]]
+        ["PASS", "point-count"], ["1/1", "checks"]]
 
     # a usage error right after a success still prints usage to stderr
     with pytest.raises(SystemExit) as exc:

@@ -20,10 +20,8 @@ from formalbrauer.fgl import (
     Logarithm,
     fgl_from_log,
     hazewinkel_log,
-    height,
     ideal_contains,
     log_from_fgl,
-    p_series,
     standard_law,
 )
 from formalbrauer.k3brauer import brauer_height, named_quartic, stienstra_log
@@ -35,7 +33,12 @@ from formalbrauer.landweber import (
     zp_presentation,
 )
 from formalbrauer.series import Series
-from p_series_oracle import escalating_height, p_series_report
+from p_series_oracle import (
+    escalating_height,
+    height,
+    p_series,
+    p_series_report,
+)
 
 # (quartic, p, h_max) -> (kind, value, first_nonzero_degree): the height
 # cells of the census benchmark, with the verdicts the seed commit gave

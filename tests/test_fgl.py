@@ -12,7 +12,6 @@ from formalbrauer.coefficients import (
 )
 from formalbrauer.errors import (
     CapTooSmall,
-    FirstNonzeroNotPPower,
     NonIntegral,
     RingMismatch,
     SingularCurve,
@@ -29,17 +28,21 @@ from formalbrauer.fgl import (
     fgl_from_log,
     hazewinkel_generators,
     hazewinkel_log,
-    height,
     ideal_contains,
+    ideal_contains_all,
     log_from_fgl,
-    p_series,
     standard_law,
     unit_at_closed_point,
 )
 from formalbrauer.k3brauer import named_quartic
 from formalbrauer.landweber import LAW_CAP, RingPresentation, certify_k3_spectrum
 from formalbrauer.series import Series
-from p_series_oracle import landweber_chain
+from p_series_oracle import (
+    FirstNonzeroNotPPower,
+    height,
+    landweber_chain,
+    p_series,
+)
 
 
 def _log(coeffs, cap=8):
@@ -356,6 +359,13 @@ def test_p_series_routes_agree():
         via_log = p_series(l, Prime(p), cap)
         via_law = p_series(law, Prime(p), cap)
         assert via_log.series == via_law.series
+    # the Hazewinkel law v = (t, 1) over Q[t]
+    for p in (3, 5):
+        cap = p + 3
+        R = TruncPolyRing(("t",), cap)
+        hz = hazewinkel_log([R.var("t"), R.one], Prime(p), cap)
+        via_law = p_series(fgl_from_log(hz, cap), Prime(p), cap)
+        assert via_law.series == p_series(hz, Prime(p), cap).series
 
 
 def test_p_series_guards():
@@ -732,6 +742,22 @@ def test_landweber_chain_recursion_multiplicative():
             assert ideal_contains(smaller, g, p, QQ)
         for g in smaller:
             assert ideal_contains(bigger, g, p, QQ)
+    # through n = 2 at p = 3 and 5, for the multiplicative law (p-fold
+    # iterate) and the Hazewinkel law v = (t, 1) (logarithm route):
+    # I_(p,n+1) is generated by a_0, ..., a_(p^n - 1)
+    R = TruncPolyRing(("t",), 12)
+    for p in (Prime(3), Prime(5)):
+        q = p.p
+        cap = q * q + 1
+        hz = hazewinkel_log([R.var("t"), R.one], p, cap)
+        for ps in (p_series(standard_law("multiplicative", QQ, cap), p, cap),
+                   p_series(hz, p, cap)):
+            for n in range(3):
+                bigger = [ps.a(i) for i in range(q ** n)]
+                smaller = [ps.a(i) for i in range(q ** (n - 1) if n else 0)]
+                smaller.append(ps.v(n))
+                assert all(ideal_contains_all(smaller, bigger, p, ps.ring))
+                assert all(ideal_contains_all(bigger, smaller, p, ps.ring))
 
 
 def test_landweber_chain_needs_cap():

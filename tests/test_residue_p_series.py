@@ -4,8 +4,8 @@ over QQ.
 brauer_height reads the height as the least n with v_p(beta_(p^n)) = n - 1,
 that is, from beta_(p^n) mod p^n. The oracle is the route it replaced: the
 p-series of the rational logarithm sum beta_m T^m / m, built over QQ through
-the whole window, reduced mod p and scanned (fgl.height). The two must give
-the same verdict, witness degree included.
+the whole window, reduced mod p and scanned (p_series_oracle.height). The
+two must give the same verdict, witness degree included.
 """
 
 from itertools import product
@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from formalbrauer import fgl, k3brauer
 from formalbrauer.coefficients import Prime
 from formalbrauer.errors import NonIntegral
-from formalbrauer.fgl import HeightResult, fgl_from_log, height, p_series
+from formalbrauer.fgl import HeightResult, fgl_from_log, p_series
 from formalbrauer.k3brauer import (
     QuarticForm,
     brauer_height,
@@ -25,6 +25,7 @@ from formalbrauer.k3brauer import (
     smooth_check_fp,
     stienstra_log,
 )
+from p_series_oracle import height
 
 
 def _qq_height(f, p, h_max, cap=None):
