@@ -22,7 +22,7 @@ from .fgl import (
     Logarithm,
     PSeries,
     count_points,
-    elliptic_fgl,
+    elliptic_log,
     elliptic_ss_oracle,
     fgl_from_log,
     hazewinkel_generators,
@@ -63,7 +63,7 @@ __all__ = [
     "standard_law", "fgl_from_log", "log_from_fgl", "p_series",
     "ideal_contains", "ideal_contains_all", "hazewinkel_log",
     "hazewinkel_generators",
-    "elliptic_fgl", "count_points", "elliptic_ss_oracle",
+    "elliptic_log", "count_points", "elliptic_ss_oracle",
     "QuarticForm", "BUILTIN_QUARTICS", "named_quartic", "beta_coefficient",
     "stienstra_log", "brauer_height", "ordinarity_criterion",
     "smooth_check_fp",

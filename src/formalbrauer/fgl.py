@@ -140,6 +140,22 @@ class FormalGroupLaw:
         if not self.is_associative():
             raise ValueError("law is not associative up to the cap")
 
+    def is_law_of(self, log: Logarithm) -> bool:
+        """Is this the law of the logarithm l: l(F(X,Y)) = l(X) + l(Y)
+        through the cap?
+
+        As l = T + ..., the identity gives F = l^{-1}(l(X) + l(Y)) through
+        the cap, and substituting F(X,Y), which has no constant term, keeps
+        that. So F(F(X,Y),Z) and F(X,F(Y,Z)) both equal
+        l^{-1}(l(X) + l(Y) + l(Z)) through the cap, and F is commutative:
+        the check implies the axioms, and also rejects a law that is not
+        l's, a strict conjugate for one. It needs F^k only for the degrees k
+        that carry a term of l."""
+        if log.cap < self.cap:
+            raise CapTooSmall(f"logarithm cap {log.cap} < law cap {self.cap}")
+        l = log.series.truncate(self.cap)
+        return l.compose(self.F) == _log_sum(l)
+
     def conjugate(self, u: Series) -> "FormalGroupLaw":
         """Coordinate change by u(T) = u_1 T + ..., u_1 a unit:
         the conjugated law is u^{-1}(F(u(X), u(Y)))."""
@@ -181,13 +197,18 @@ def fgl_from_log(log: Logarithm, cap: int, integral_at: Prime | None = None
     if log.cap < cap:
         raise CapTooSmall(f"logarithm known to cap {log.cap} < requested {cap}")
     l = log.series.truncate(cap)
-    lx = l.remap(("X", "Y"), {l.vars[0]: "X"})
-    ly = l.remap(("X", "Y"), {l.vars[0]: "Y"})
-    F = l.reversion().compose(lx.add(ly))
+    F = l.reversion().compose(_log_sum(l))
     law = FormalGroupLaw(F, provenance="from-logarithm")
     if integral_at is not None:
         check_integral(F, integral_at)
     return law
+
+
+def _log_sum(l: Series) -> Series:
+    """l(X) + l(Y) for a univariate l."""
+    lx = l.remap(("X", "Y"), {l.vars[0]: "X"})
+    ly = l.remap(("X", "Y"), {l.vars[0]: "Y"})
+    return lx.add(ly)
 
 
 def _p_integral(x, p: Prime) -> bool:
@@ -601,8 +622,8 @@ def elliptic_discriminant(coeffs) -> int:
     return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
-def elliptic_fgl(coeffs, cap: int):
-    """Formal group of a Weierstrass curve
+def elliptic_log(coeffs, cap: int) -> Logarithm:
+    """Logarithm of the formal group of a Weierstrass curve
     y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, in the parameter
     T = -x/y at the origin.
 
@@ -612,8 +633,8 @@ def elliptic_fgl(coeffs, cap: int):
     dx / (2y + a1 x + a3); multiplying numerator and denominator by T^3 u
     (u = w/T^3, a unit series) keeps everything in honest power series.
 
-    Returns (law, logarithm) over Q. Integer coefficient curves only; the
-    discriminant must not vanish.
+    Returns the logarithm over Q; fgl_from_log gives the law. Integer
+    coefficient curves only; the discriminant must not vanish.
     """
     a1, a2, a3, a4, a6 = (int(c) for c in coeffs)
     if elliptic_discriminant((a1, a2, a3, a4, a6)) == 0:
@@ -650,9 +671,7 @@ def elliptic_fgl(coeffs, cap: int):
     if a3:
         d3 = d3.add(t3.truncate(capw).scalar_mul(a3))
     omega = xp.mul(d3.invert_unit()).truncate(cap - 1)
-    log = Logarithm(omega.integral(cap))
-    law = fgl_from_log(log, cap)
-    return law, log
+    return Logarithm(omega.integral(cap))
 
 
 def count_points(coeffs, p: Prime) -> int:

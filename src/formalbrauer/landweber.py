@@ -336,17 +336,20 @@ def landweber_check(R: RingPresentation, source, h_max: int
     """Exactness verdict for a law or logarithm over the presentation R.
 
     fgl.closed_fibre_height reads v_1, ..., v_(h_max) off the logarithm's
-    coefficients at T^p, ..., T^(p^h_max) (a law gives its logarithm by
-    log_from_fgl), and stops at the first v_h that is a unit at the closed
-    point: h is the height of the closed fibre. The logarithm must reach
-    degree p^h_max + 1. The report classifies (p, v_1, ..., v_h): Exact
-    requires Regular all the way up with v_h a Unit. A window that never
-    shows a unit yields Inconclusive, because a larger h_max could still
-    reveal one; torsion yields NotExact with its witness on display. The
-    ideals (p, v_1, ..., v_n) and the classes of v_n modulo them are those
-    of the law itself, since p-typification is a strict isomorphism. A v_n
-    that is not p-integral raises NonIntegral, and so does a law given with
-    a coefficient that is not; a logarithm's denominators in other degrees
+    coefficients at T^p, ..., T^(p^h_max), and stops at the first v_h that
+    is a unit at the closed point: h is the height of the closed fibre. The
+    source must reach degree p^h_max + 1. A law's logarithm is recovered by
+    log_from_fgl as each coefficient is asked for, through T^(p^n) only, so
+    a law whose closed fibre has height h costs the degrees up to p^h.
+
+    The report classifies (p, v_1, ..., v_h): Exact requires Regular all
+    the way up with v_h a Unit. A window that never shows a unit yields
+    Inconclusive, because a larger h_max could still reveal one; torsion
+    yields NotExact with its witness on display. The ideals
+    (p, v_1, ..., v_n) and the classes of v_n modulo them are those of the
+    law itself, since p-typification is a strict isomorphism. A v_n that is
+    not p-integral raises NonIntegral, and so does a law given with a
+    coefficient that is not; a logarithm's denominators in other degrees
     are not looked for.
     """
     p = R.prime
@@ -365,11 +368,15 @@ def landweber_check(R: RingPresentation, source, h_max: int
             "parameter-free presentations expect rational coefficients")
     if isinstance(source, FormalGroupLaw):
         check_integral(source.F, p)
-    log = source if isinstance(source, Logarithm) else log_from_fgl(source)
+
+        def ell(d):  # the logarithm recovered through T^d only
+            return log_from_fgl(source, d).series.coeff(d)
+    else:
+        ell = source.series.coeff
     window = p.p ** h_max + 1
-    if log.cap < window:
-        raise CapTooSmall(f"logarithm cap {log.cap} < window {window}")
-    ells = (log.series.coeff(p.p ** n) for n in range(1, h_max + 1))
+    if source.cap < window:
+        raise CapTooSmall(f"logarithm cap {source.cap} < window {window}")
+    ells = (ell(p.p ** n) for n in range(1, h_max + 1))
     return _exactness_report(R, ring, *closed_fibre_height(ells, p, h_max))
 
 
@@ -500,9 +507,13 @@ def certify_k3_spectrum(R: RingPresentation, f: QuarticForm, h_max: int
 
     The report reads its v_n, as landweber_check does, from the logarithm's
     coefficients beta_(p^n) / p^n, each a single beta (brauer_generators).
-    Only an Exact report goes on to the embedded law, rebuilt at
-    min(LAW_CAP, p^h_max + 1) with p-integrality enforced and the full
-    axiom suite run, so a certificate never carries an unchecked law; the
+    Only an Exact report goes on to the embedded law, rebuilt from the
+    logarithm l at min(LAW_CAP, p^h_max + 1) with p-integrality enforced,
+    and checked against l: l(F(X,Y)) = l(X) + l(Y) through that cap
+    (FormalGroupLaw.is_law_of), or ValueError. Since l = T + ..., that
+    identity makes F commutative and F(F(X,Y),Z) = F(X,F(Y,Z)) =
+    l^{-1}(l(X) + l(Y) + l(Z)) through the cap, so a certificate never
+    carries a law that fails the axioms, nor one that is not l's. The
     logarithm is extracted through that cap only."""
     p = R.prime
     if R.parameters:
@@ -515,8 +526,11 @@ def certify_k3_spectrum(R: RingPresentation, f: QuarticForm, h_max: int
             f"cannot certify {f.name} over {R}: {report.reason}",
             report=report)
     law_cap = min(LAW_CAP, p.p ** h_max + 1)
-    law = fgl_from_log(stienstra_log(f, law_cap).log, law_cap, integral_at=p)
-    law.verify_axioms()
+    log = stienstra_log(f, law_cap).log
+    law = fgl_from_log(log, law_cap, integral_at=p)
+    if not law.is_law_of(log):
+        raise ValueError("the law is not the law of its logarithm up to "
+                         "the cap")
     iso = {
         "type": "coordinate-identification",
         "normalization": "identity on the logarithm coordinate",

@@ -1,7 +1,7 @@
 """Formal group laws: axioms, logarithms, p-series, heights, ideal chains."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from formalbrauer.coefficients import (
     QQ,
@@ -23,7 +23,7 @@ from formalbrauer.fgl import (
     PSeries,
     closed_fibre_height,
     count_points,
-    elliptic_fgl,
+    elliptic_log,
     elliptic_ss_oracle,
     fgl_from_log,
     hazewinkel_generators,
@@ -34,7 +34,8 @@ from formalbrauer.fgl import (
     standard_law,
     unit_at_closed_point,
 )
-from formalbrauer.k3brauer import named_quartic
+from formalbrauer import landweber
+from formalbrauer.k3brauer import named_quartic, stienstra_log
 from formalbrauer.landweber import LAW_CAP, RingPresentation, certify_k3_spectrum
 from formalbrauer.series import Series
 from p_series_oracle import (
@@ -162,6 +163,20 @@ def _two_substitution_associative(law):
     return law.F.subst([fxy, z]) == law.F.subst([x, fyz])
 
 
+def _coefficient(draw, ring):
+    """A small rational, plus a multiple of t over Q[t]/(t^3)."""
+    c = ring.coerce(rat(draw(st.integers(-3, 3)), draw(st.integers(1, 3))))
+    if ring is not QQ:
+        c = c + ring.coerce(draw(st.integers(-2, 2))) * ring.var("t")
+    return c
+
+
+def _random_log(draw, ring, cap):
+    return Logarithm(Series.univariate(
+        ring, cap, {1: 1, **{d: _coefficient(draw, ring)
+                             for d in range(2, cap + 1)}}))
+
+
 @st.composite
 def _candidate_laws(draw):
     """A candidate X + Y + ... over QQ or Q[t]/(t^3) at cap 2..7: random
@@ -172,10 +187,7 @@ def _candidate_laws(draw):
     cap = draw(st.integers(2, 7))
 
     def coefficient():
-        c = ring.coerce(rat(draw(st.integers(-3, 3)), draw(st.integers(1, 3))))
-        if ring is not QQ:
-            c = c + ring.coerce(draw(st.integers(-2, 2))) * ring.var("t")
-        return c
+        return _coefficient(draw, ring)
 
     kind = draw(st.sampled_from(["random", "commutative", "log",
                                  "log+defect", "log+skew"]))
@@ -192,9 +204,7 @@ def _candidate_laws(draw):
             if kind == "commutative":
                 terms[(b, a)] = c
         return FormalGroupLaw(x.add(y).add(Series(ring, ("X", "Y"), cap, terms)))
-    log = Logarithm(Series.univariate(
-        ring, cap, {1: 1, **{d: coefficient() for d in range(2, cap + 1)}}))
-    law = fgl_from_log(log, cap)
+    law = fgl_from_log(_random_log(draw, ring, cap), cap)
     if kind == "log":
         return law
     total = draw(st.integers(2, cap))
@@ -262,6 +272,105 @@ def test_certificate_law_loses_its_check_to_a_defect_at_law_cap(name):
     bad = FormalGroupLaw(law.F.add(_symmetric(QQ, LAW_CAP, 9, 1)))
     with pytest.raises(ValueError, match="not associative"):
         bad.verify_axioms()
+
+
+# ---------------------------------------------------------------------------
+# a law against its logarithm: l(F(X,Y)) = l(X) + l(Y)
+# ---------------------------------------------------------------------------
+
+
+def _certificate_log(name):
+    """The logarithm the certificate law of _certificate_law is built from."""
+    return stienstra_log(named_quartic(name), LAW_CAP).log
+
+
+def _certify_embedding(monkeypatch, law):
+    """certify_k3_spectrum on fermat at p = 5, h_max = 2, with law in place
+    of the one fgl_from_log builds from the logarithm."""
+    monkeypatch.setattr(landweber, "fgl_from_log", lambda *args, **kw: law)
+    return certify_k3_spectrum(RingPresentation(Prime(5)),
+                               named_quartic("fermat"), 2)
+
+
+@pytest.mark.parametrize("name", ["fermat", "diag-1248", "fermat-cross"])
+def test_certificate_law_is_the_law_of_its_logarithm(name):
+    # the defect X^9 Y + X Y^9 sits in degree LAW_CAP = 10, the top degree
+    # of the check
+    law, log = _certificate_law(name), _certificate_log(name)
+    assert law.is_law_of(log)
+    bad = FormalGroupLaw(law.F.add(_symmetric(QQ, LAW_CAP, 9, 1)))
+    assert not bad.is_law_of(log)
+
+
+def test_certify_refuses_a_law_with_a_defect_at_law_cap(monkeypatch):
+    law = _certificate_law("fermat")
+    bad = FormalGroupLaw(law.F.add(_symmetric(QQ, LAW_CAP, 9, 1)))
+    with pytest.raises(ValueError, match="not the law of its logarithm"):
+        _certify_embedding(monkeypatch, bad)
+
+
+def test_certify_refuses_a_conjugate_that_passes_the_axioms(monkeypatch):
+    # u^{-1}(F(u(X), u(Y))) is a law, but its logarithm is l(u(T)), not l
+    u = Series.univariate(QQ, LAW_CAP, {1: 1, 5: 1})
+    moved = _certificate_law("fermat").conjugate(u)
+    moved.verify_axioms()
+    assert not moved.is_law_of(_certificate_log("fermat"))
+    with pytest.raises(ValueError, match="not the law of its logarithm"):
+        _certify_embedding(monkeypatch, moved)
+
+
+@pytest.mark.parametrize("name", ["fermat", "diag-1248", "fermat-cross"])
+def test_certify_builds_no_nest(monkeypatch, name):
+    cert, nests = _counting_nests(monkeypatch, certify_k3_spectrum,
+                                  RingPresentation(Prime(5)),
+                                  named_quartic(name), 2)
+    assert cert.law.cap == LAW_CAP
+    assert nests == 0
+
+
+def test_law_of_a_logarithm_needs_the_logarithm_through_its_cap():
+    law = standard_law("multiplicative", QQ, 6)
+    with pytest.raises(CapTooSmall):
+        law.is_law_of(log_from_fgl(law, 5))
+
+
+@st.composite
+def _laws_against_logarithms(draw):
+    """(kind, law, l) for a random logarithm l over QQ or Q[t]/(t^3) at cap
+    2..7, and the law of l, that law plus a defect (symmetric or not), a
+    strict conjugate of it, or the law of another random logarithm."""
+    ring = draw(st.sampled_from([QQ, TruncPolyRing(("t",), 2)]))
+    cap = draw(st.integers(2, 7))
+    log = _random_log(draw, ring, cap)
+    law = fgl_from_log(log, cap)
+    kind = draw(st.sampled_from(["law", "law+defect", "conjugate", "other"]))
+    if kind == "law+defect":
+        total = draw(st.integers(2, cap))
+        a = draw(st.integers(1, total - 1))
+        b = draw(st.sampled_from([a, total - a]))
+        defect = Series(ring, ("X", "Y"), cap,
+                        {(a, total - a): ring.one, (b, total - b): ring.one})
+        law = FormalGroupLaw(law.F.add(defect))
+    elif kind == "conjugate":
+        u = Series.univariate(ring, cap, {1: 1, draw(st.integers(2, cap)):
+                                          _coefficient(draw, ring)})
+        law = law.conjugate(u)
+    elif kind == "other":
+        law = fgl_from_log(_random_log(draw, ring, cap), cap)
+    return kind, law, log
+
+
+@settings(max_examples=150, deadline=None)
+@given(_laws_against_logarithms())
+def test_a_law_of_its_logarithm_satisfies_the_axioms(case):
+    kind, law, log = case
+    passed = law.is_law_of(log)
+    event(f"{kind}: law of its logarithm {passed}")
+    if kind == "law":
+        assert passed
+    if passed:
+        assert law.is_commutative()
+        assert _two_substitution_associative(law)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +768,8 @@ def test_count_points_frozen():
 
 
 def test_elliptic_log_leading_terms():
-    law, log = elliptic_fgl(CURVE_XXX_X, 7)
+    log = elliptic_log(CURVE_XXX_X, 7)
+    law = fgl_from_log(log, 7)
     # T + (2/5) T^5 + O(deg>7); the T^4 coefficient of l' is 2, matching
     # a_5 = 5 + 1 - #E(F_5) = 2 from the honest point count
     assert log.series.degrees() == [1, 5]
@@ -669,7 +779,7 @@ def test_elliptic_log_leading_terms():
 
 def test_elliptic_rejects_singular_curves():
     with pytest.raises(SingularCurve):
-        elliptic_fgl((0, 0, 0, 0, 0), 6)    # y^2 = x^3 is cuspidal
+        elliptic_log((0, 0, 0, 0, 0), 6)    # y^2 = x^3 is cuspidal
     with pytest.raises(SingularCurve):
         count_points((0, 0, 0, -3, 2), Prime(5))   # disc = 0
 
@@ -689,7 +799,7 @@ def test_elliptic_height_matches_point_count_oracle():
     for coeffs in (CURVE_XXX_X, CURVE_XXX_1):
         for p in (5, 7):
             cap = p ** 2 + 1
-            law, log = elliptic_fgl(coeffs, cap)
+            log = elliptic_log(coeffs, cap)
             res = height(p_series(log, Prime(p), cap), 2)
             oracle = elliptic_ss_oracle(coeffs, Prime(p))
             assert res.is_finite

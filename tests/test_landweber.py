@@ -4,15 +4,21 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from formalbrauer import __version__
+from formalbrauer import __version__, landweber
 from formalbrauer.coefficients import QQ, Prime, TruncPolyRing, rat
 from formalbrauer.errors import (
     CertificationRefused,
     RingMismatch,
     SmoothnessCheckFailed,
 )
-from formalbrauer.fgl import hazewinkel_log, standard_law
+from formalbrauer.fgl import (
+    fgl_from_log,
+    hazewinkel_log,
+    log_from_fgl,
+    standard_law,
+)
 from formalbrauer.k3brauer import QuarticForm, named_quartic
 from formalbrauer.landweber import (
     RegularityVerdict,
@@ -25,6 +31,7 @@ from formalbrauer.landweber import (
     rational_certificate,
     zp_presentation,
 )
+from formalbrauer.series import Series
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "rational_fermat.json"
 
@@ -227,6 +234,52 @@ def test_report_serialization_shape():
     assert doc["vs"] == ["3", "1"]      # v_0 through the stabilization index
     assert doc["verdicts"][0]["status"] == "regular"
     assert json.dumps(doc) == json.dumps(doc)   # plain data, reproducible
+
+
+@st.composite
+def _conjugated_laws(draw):
+    """(presentation, law, h_max): a strict conjugate of the multiplicative
+    law or of the Hazewinkel law v = (0, 1) over Z_(p), by u = T + ... with
+    p-integral coefficients, at cap p^h_max + 1. The multiplicative law
+    decides at n = 1; the Hazewinkel law decides at n = 2 when h_max >= 2
+    and is AtLeast(1) at h_max = 1. (p, h_max) = (5, 3) is left out: a
+    conjugate at cap 126 takes minutes to build."""
+    p, h_max = draw(st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]))
+    cap = p ** h_max + 1
+    if draw(st.booleans()):
+        law = standard_law("multiplicative", QQ, cap)
+    else:
+        law = fgl_from_log(hazewinkel_log([0, 1], Prime(p), cap), cap)
+    coeffs = {1: 1}
+    for d in draw(st.lists(st.integers(2, cap), max_size=3, unique=True)):
+        coeffs[d] = draw(st.sampled_from([c for c in range(-p, p + 1) if c]))
+    return (zp_presentation(p),
+            law.conjugate(Series.univariate(QQ, cap, coeffs)), h_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_conjugated_laws())
+def test_a_law_reports_as_its_recovered_logarithm(case):
+    R, law, h_max = case
+    report = landweber_check(R, law, h_max)
+    assert report == landweber_check(R, log_from_fgl(law), h_max)
+    h = report.closed_fibre_height
+    event(f"p = {R.p}, h_max = {h_max}: {h.kind} {h.value}")
+
+
+def test_a_law_recovers_its_logarithm_only_to_the_deciding_degree(
+        monkeypatch):
+    caps = []
+
+    def recording(law, cap=None):
+        caps.append(cap)
+        return log_from_fgl(law, cap)
+
+    monkeypatch.setattr(landweber, "log_from_fgl", recording)
+    law = standard_law("multiplicative", QQ, 7 ** 2 + 1)
+    report = landweber_check(zp_presentation(7), law, 2)
+    assert report.verdict == "exact"
+    assert caps == [7]
 
 
 # ---------------------------------------------------------------------------
