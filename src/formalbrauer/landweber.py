@@ -16,9 +16,11 @@ t_1..t_k truncated at a total degree cap, and optional relations. The
 presentation denotes the (p-local) polynomial ring observed through the
 degree window, so truncation is never allowed to manufacture zerodivisors:
 a torsion witness only counts when its defining product stayed inside the
-window. The checker is deliberately scoped to the shapes that actually
-arise from group laws - constants, fresh linear parameters, units, and
-explicit torsion - and answers Unknown elsewhere.
+window, and an element that vanishes only inside the window is Unknown.
+The checker is deliberately scoped to the shapes that actually arise from
+group laws - the first constant, elements whose linear parts mod p are
+independent (part of a regular system of parameters), units, and explicit
+torsion - and answers Unknown elsewhere.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .errors import (
 from .fgl import (
     FormalGroupLaw,
     Logarithm,
+    _p_integral,
     check_integral,
     closed_fibre_height,
     fgl_from_log,
@@ -166,18 +169,26 @@ def _is_unit_mod(R: RingPresentation, gens, x) -> bool:
     return _contains(R, list(gens) + [x], R.base_ring.one)
 
 
-def _linear_fresh_parameter(R: RingPresentation, x: TruncPoly, consumed: set):
-    """Name of a parameter whose linear coefficient in x is a p-unit and that
-    no earlier element consumed; None when there is no such parameter."""
-    names = R.base_ring.variables
-    for i, t in enumerate(names):
-        if t in consumed:
-            continue
-        e = tuple(1 if j == i else 0 for j in range(len(names)))
-        c = x.terms.get(e)
-        if c is not None and val_p(c, R.prime) == 0:
-            return t
-    return None
+def _fresh_pivot(R: RingPresentation, x: TruncPoly, basis: dict):
+    """Reduce the linear part of x in the parameters, mod p, against basis,
+    which maps each pivot column to its row mod p, 1 at the pivot and 0
+    before it. When something is left, add it to basis and return the
+    parameter at its new pivot, with a p-unit coefficient there; otherwise
+    None. x is p-integral."""
+    q, k = R.p, len(R.parameters)
+    v = [0] * k
+    for e, c in x.terms.items():
+        if sum(e) == 1:
+            v[e.index(1)] = c.numerator * pow(c.denominator, -1, q) % q
+    for j in sorted(basis):
+        if v[j]:
+            v = [(a - v[j] * b) % q for a, b in zip(v, basis[j])]
+    j = next((j for j, a in enumerate(v) if a), None)
+    if j is None:
+        return None
+    inv = pow(v[j], -1, q)
+    basis[j] = [a * inv % q for a in v]
+    return R.parameters[j]
 
 
 def _torsion_witness(R: RingPresentation, gens, x):
@@ -217,29 +228,40 @@ def check_regular_sequence(R: RingPresentation, elems) -> list:
     """Classify each element against the ideal of relations plus all earlier
     elements. The certified shapes:
 
-      * anything congruent to 0: zerodivisor (witness 1);
+      * anything congruent to 0: zerodivisor (witness 1), or unknown when
+        the element was truncated and only its part inside the window is 0;
       * units modulo the earlier ideal: Unit;
-      * nonzero constants on relation-free presentations: Regular
-        (multiplication by a nonzero scalar is injective on a free module;
-        with no parameters every element is a constant);
-      * elements whose linear part holds a fresh parameter with p-unit
-        coefficient, when everything earlier was of these shapes: Regular
-        (a coordinate change makes the element that parameter);
+      * on relation-free presentations, while everything earlier was of
+        these shapes:
+        - the first nonzero constant: Regular;
+        - a p-integral element whose linear part in the parameters, mod p,
+          is independent of the earlier elements' linear parts: Regular;
       * explicit torsion found by the bounded search: Zerodivisor;
 
     and Unknown with a reason for everything else.
 
-    The base is local with maximal ideal (p, t_1, ..., t_k), so while the
-    relations and elements are p-integral the collapse test ("1 in the
-    relations") and each unit test need no elimination: the ideal holds 1
-    exactly when one of its generators is a unit at the closed point
+    The two Regular shapes hold because A = Z_(p)[t_1..t_k], local at
+    m = (p, t_1, ..., t_k), is a regular local ring. Elements of m whose
+    images in m/m^2 are independent are part of a regular system of
+    parameters, so they form a regular sequence in any order, and the
+    quotient by them is again regular, a domain (Matsumura, Commutative Ring
+    Theory, 14.2 and 17.4). The certified non-constant elements and p have
+    independent images, so the first constant, p^a u with u a unit, is
+    nonzero in the domain they cut out, and with p^a in place of p the
+    sequence stays regular in any order. A second constant is left to the
+    search: 3 is a zerodivisor modulo 9.
+
+    While the relations and elements are p-integral the collapse test ("1
+    in the relations") and each unit test need no elimination: the ideal
+    holds 1 exactly when one of its generators is a unit at the closed point
     (ideal_contains_all, which eliminates whenever p sits in some
     denominator). What is left costs one elimination per element for its
     zero test and one per power of p its torsion search reaches; each
     pivots from the target and builds only the rows it touches."""
     verdicts = []
     gens = [R.coerce(r) for r in R.relations]
-    consumed: set = set()
+    basis: dict = {}  # the certified elements' linear parts, mod p
+    constant_seen = False
     shapes_ok = True  # all earlier elements within the certified shapes
     one = R.base_ring.one
     if _contains(R, gens, one):
@@ -250,22 +272,28 @@ def check_regular_sequence(R: RingPresentation, elems) -> list:
         x = R.coerce(raw)
         label = str(x)
         if _contains(R, gens, x):
-            verdicts.append(RegularityVerdict(
-                "zerodivisor", label, witness=str(one),
-                reason="element is 0 in the quotient; 0 is never regular"))
+            verdicts.append(
+                RegularityVerdict(
+                    "unknown", label,
+                    reason="element is 0 in the quotient inside the window, "
+                           "but its terms past the cap were dropped")
+                if x.truncated else RegularityVerdict(
+                    "zerodivisor", label, witness=str(one),
+                    reason="element is 0 in the quotient; 0 is never regular"))
             shapes_ok = False
         elif _is_unit_mod(R, gens, x):
             verdicts.append(RegularityVerdict(
                 "unit", label,
                 reason="1 lies in the ideal generated by this element and "
                        "its predecessors"))
-        elif not R.relations and x.total_degree() == 0:
+        elif (not R.relations and shapes_ok and not constant_seen
+              and x.total_degree() == 0):
+            constant_seen = True
             base = "free polynomial" if R.parameters else "torsion-free"
             verdicts.append(RegularityVerdict(
                 "regular", label, reason=f"nonzero scalar on a {base} base"))
-        elif (not R.relations and shapes_ok
-              and (t := _linear_fresh_parameter(R, x, consumed)) is not None):
-            consumed.add(t)
+        elif (not R.relations and shapes_ok and _p_integral(x, R.prime)
+              and (t := _fresh_pivot(R, x, basis)) is not None):
             verdicts.append(RegularityVerdict(
                 "regular", label,
                 reason=f"linear part contains fresh parameter {t} with "
@@ -276,13 +304,13 @@ def check_regular_sequence(R: RingPresentation, elems) -> list:
                 verdicts.append(RegularityVerdict(
                     "zerodivisor", label, witness=str(w),
                     reason="explicit annihilation found within the window"))
-                shapes_ok = False
             else:
                 verdicts.append(RegularityVerdict(
                     "unknown", label,
-                    reason="outside the certified shapes (constants, fresh "
-                           "linear parameters, units) and no torsion found"))
-                shapes_ok = False
+                    reason="outside the certified shapes (the first "
+                           "constant, independent linear parts mod p, "
+                           "units) and no torsion found"))
+            shapes_ok = False
         gens.append(x)
     return verdicts
 

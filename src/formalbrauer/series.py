@@ -1,9 +1,9 @@
 """Truncated power series over an exact coefficient ring.
 
 A Series is a sparse dict of exponent tuples over named variables, cut off at
-a total-degree cap. The same class serves one variable (logarithms, p-series),
-two (formal group laws) and three (associativity checks); all arithmetic runs
-through the ring protocol from coefficients.py plus the elements' own infix
+a total-degree cap. The same class serves one variable (logarithms, p-series)
+and two (formal group laws), or any other number; all arithmetic runs through
+the ring protocol from coefficients.py plus the elements' own infix
 operators.
 
 Truncation discipline: a series of cap N represents a full power series known
@@ -323,40 +323,6 @@ class Series:
 
         return value({e: c for e, c in self.coeffs.items()
                       if sum(e) <= tpl.cap}, len(self.vars) - 1)
-
-    def nested(self):
-        """self(self(X, Y), Z) for bivariate self = sum a_ij X^i Y^j with
-        zero constant term, in the variables (X, Y, Z) at self's cap.
-
-        The outer second argument is a bare variable, so its powers only
-        shift exponents: the output coefficient at (a, b, j) is the sum over
-        i of a_ij [self^i]_(a,b), summed in one ring.dot call. The powers
-        self^i are built once, in two variables."""
-        if len(self.vars) != 2:
-            raise RingMismatch("nested needs a bivariate series")
-        rng = self.ring
-        if not rng.is_zero(self.constant_coeff()):
-            raise ValueError("nested needs a zero constant term")
-        cap = self.cap
-        by_i = {}
-        for (i, j), c in self.coeffs.items():
-            by_i.setdefault(i, []).append((j, c))
-        # self^0 = 1, so the i = 0 terms land on (0, 0, j) alone, where no
-        # power of self reaches
-        out = {(0, 0, j): c for j, c in by_i.pop(0, ())}
-        pairs = {}
-        for i, fi in self._powers(sorted(by_i), {1: self}):
-            terms = by_i[i]
-            for (a, b), x in fi.coeffs.items():
-                room = cap - a - b
-                for j, c in terms:
-                    if j <= room:
-                        pairs.setdefault((a, b, j), []).append((c, x))
-        for e, ps in pairs.items():
-            v = rng.dot(ps)
-            if not rng.is_zero(v):
-                out[e] = v
-        return Series._make(rng, self.vars + ("Z",), cap, out)
 
     def remap(self, new_vars, assignment=None):
         """Move to a new variable tuple; assignment maps old names to new
