@@ -38,10 +38,6 @@ class SingularCurve(FormalBrauerError):
     """Weierstrass coefficients with vanishing discriminant."""
 
 
-class SmoothnessCheckFailed(FormalBrauerError):
-    """A quartic failed the smoothness spot-check required for certification."""
-
-
 class CertificationRefused(FormalBrauerError):
     """A certificate was requested but the exactness check did not succeed.
 
@@ -51,3 +47,8 @@ class CertificationRefused(FormalBrauerError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+class SmoothnessCheckFailed(CertificationRefused):
+    """A rational certificate was refused: no listed prime has a smooth
+    reduction (smooth_check_fp), so smoothness over Q-bar is not shown."""

@@ -35,6 +35,7 @@ from .coefficients import (
     RationalField,
     TruncPoly,
     TruncPolyRing,
+    rat,
     val_p,
 )
 from .errors import (
@@ -319,7 +320,7 @@ class HeightResult:
 # ---------------------------------------------------------------------------
 
 
-def _p_integral_solvable(row, column, targets, p: int) -> list:
+def _p_integral_solvable(row, column, targets, p: int, residue=False) -> list:
     """For each target b, does b = sum_j y_j * (column j) admit p-integral
     rational y?
 
@@ -344,15 +345,23 @@ def _p_integral_solvable(row, column, targets, p: int) -> list:
     val(b) >= val(piv). Nor does any touch a row without entries, so a
     target fails where it is nonzero on one; it is solvable once what is
     left of it is zero. The elimination stops when every target is decided.
+
+    With residue set, p lies in the ideal the system poses and every entry
+    and target is p-integral, so the system is read mod p: in F_p, where
+    each nonzero entry is a unit, on residues in place of rationals.
     """
+    def red(c):
+        return c.numerator * pow(c.denominator, -1, p) % p if residue else c
+
     answers = [True] * len(targets)
-    live = {k: {i: c for i, c in b.items() if c}
+    live = {k: {i: c for i, c in zip(b, map(red, b.values())) if c}
             for k, b in enumerate(targets)}
     rows: dict = {}      # built rows, each {column: entry}; None once pivoted
     col_rows: dict = {}  # column -> built rows in play that hold it
 
     def build(i):
-        r = rows[i] = dict(row(i))
+        r = row(i)
+        r = rows[i] = {j: a for j, a in zip(r, map(red, r.values())) if a}
         for j in r:
             col_rows.setdefault(j, set()).add(i)
         return r
@@ -392,9 +401,9 @@ def _p_integral_solvable(row, column, targets, p: int) -> list:
                 build(i)
         for i in list(col_rows[pj]):
             r = rows[i]
-            f = r[pj] / piv
+            f = r[pj] * pow(piv, -1, p) % p if residue else r[pj] / piv
             for j, a in prow.items():
-                new = r.get(j, 0) - f * a
+                new = red(r.get(j, 0) - f * a)
                 if new:
                     r[j] = new
                     col_rows[j].add(i)
@@ -402,7 +411,7 @@ def _p_integral_solvable(row, column, targets, p: int) -> list:
                     del r[j]
                     col_rows[j].discard(i)
             for b, bp in carried:
-                nb = b.get(i, 0) - f * bp
+                nb = red(b.get(i, 0) - f * bp)
                 if nb:
                     b[i] = nb
                 else:
@@ -465,7 +474,8 @@ def ideal_contains_all(generators, xs, p: Prime, ring) -> list:
     xs = [ring.coerce(x) for x in xs]
     # 0 lies in every ideal, and nothing else in the zero ideal
     answers = [None if x.terms and gens else not x.terms for x in xs]
-    if gens and all(_p_integral(g, p) for g in gens):
+    integral = bool(gens) and all(_p_integral(g, p) for g in gens)
+    if integral:
         unit = any(unit_at_closed_point(g, p) for g in gens)
         for k, x in enumerate(xs):
             if (answers[k] is None and (unit or unit_at_closed_point(x, p))
@@ -473,8 +483,14 @@ def ideal_contains_all(generators, xs, p: Prime, ring) -> list:
                 answers[k] = unit
     pending = [k for k, a in enumerate(answers) if a is None]
     if pending:
+        # p lies in the ideal when a generator is p times a unit; then a
+        # p-integral x lies in it exactly when it does mod p
+        residue = (integral and all(_p_integral(xs[k], p) for k in pending)
+                   and any(unit_at_closed_point(h, p) and _p_integral(h, p)
+                           for h in (g * rat(1, p.p) for g in gens)))
         solved = _p_integral_solvable(*_shifted_system(gens, ring),
-                                      [xs[k].terms for k in pending], p.p)
+                                      [xs[k].terms for k in pending], p.p,
+                                      residue)
         for k, ok in zip(pending, solved):
             answers[k] = ok
     return answers

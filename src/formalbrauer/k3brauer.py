@@ -31,9 +31,10 @@ from __future__ import annotations
 
 from math import gcd
 
-from .coefficients import QQ, Prime, multinomial, rat
+from .coefficients import QQ, Prime, TruncPoly, TruncPolyRing, multinomial, rat
 from .errors import CapTooSmall
-from .fgl import HeightResult, Logarithm, closed_fibre_height
+from .fgl import (HeightResult, Logarithm, closed_fibre_height,
+                  ideal_contains_all)
 from .series import Series
 
 QUARTIC_VARS = ("T0", "T1", "T2", "T3")
@@ -135,9 +136,8 @@ BUILTIN_QUARTICS = {
     "fermat": QuarticForm(_diag(), name="fermat"),
     # diagonal with distinct 2-power coefficients; still height-testable fast
     "diag-1248": QuarticForm(_diag(1, 2, 4, 8), name="diag-1248"),
-    # Fermat plus a genuinely non-diagonal term (its only bad odd prime is
-    # 229); smooth_check_fp finds no singular F_p-point at any odd p <= 13,
-    # a search that misses singular points over extensions of F_p
+    # Fermat plus a genuinely non-diagonal term; its only bad odd prime is
+    # 229 (smooth_check_fp, run over the odd primes below 400)
     "fermat-cross": QuarticForm({**_diag(), (3, 1, 0, 0): 1}, name="fermat-cross"),
 }
 
@@ -456,66 +456,24 @@ def ordinarity_criterion(f: QuarticForm, p) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# smoothness spot-check over a small prime field
+# smoothness of the reduction mod p
 # ---------------------------------------------------------------------------
 
 
-def _projective_points(q: int):
-    """One representative per point of P^3(F_q): leading coordinate 1."""
-    for lead in range(4):
-        head = (0,) * lead + (1,)
-        tail = 4 - lead - 1
-        if tail == 0:
-            yield head
-            continue
-        counters = [0] * tail
-        while True:
-            yield head + tuple(counters)
-            i = tail - 1
-            while i >= 0:
-                counters[i] += 1
-                if counters[i] < q:
-                    break
-                counters[i] = 0
-                i -= 1
-            if i < 0:
-                break
-
-
-def smooth_check_fp(f: QuarticForm, p, budget: int = 13) -> bool:
-    """Brute-force search for a singular F_p-rational point of {f = 0}: True
-    when no point of P^3(F_p) kills f and all four partials at once.
-
-    This is not smoothness over the algebraic closure: singular points
-    defined only over an extension of F_p are not seen. For example
-    (T0^2 + T1^2)^2 + T2^4 + T3^4 is singular at (1 : +-i : 0 : 0), yet
-    this returns True at p = 3, 7 and 11, where -1 is not a square mod p.
-    Enumeration is ~p^3 points, so the prime is capped (default 13); larger
-    primes raise rather than stall."""
-    p = p if isinstance(p, Prime) else Prime(int(p))
-    q = p.p
-    if q > budget:
-        raise ValueError(
-            f"smoothness enumeration budget is p <= {budget}, got {q}")
-    # f first: most points are off the surface
-    forms = [f.terms] + [f.partial(i) for i in range(4)]
-    for pt in _projective_points(q):
-        for g in forms:
-            if _evaluate(g, pt, q):
-                break
-        else:
-            return False
-    return True
-
-
-def _evaluate(terms: dict, point, mod: int) -> int:
-    """A sparse integer form {exponent tuple: coefficient} at point, mod
-    `mod`."""
-    total = 0
-    for e, c in terms.items():
-        v = c
-        for x, k in zip(point, e):
-            if k:
-                v *= pow(x, k, mod)
-        total += v
-    return total % mod
+def smooth_check_fp(f: QuarticForm, p) -> bool:
+    """True iff the reduction of {f = 0} mod p is smooth over the algebraic
+    closure of F_p. For odd p, Euler's relation 4f = sum T_i df/dT_i makes
+    that "the four cubic partials have no common zero", which by Macaulay
+    holds iff every degree-9 monomial lies in (p, df/dT_0, ..., df/dT_3) in
+    Z_(p)[T0..T3] truncated at degree 9 (Macaulay 1916; Cox, Little and
+    O'Shea, Using Algebraic Geometry, ch. 3): one ideal_contains_all call,
+    read mod p, at the same cost for every p. When p divides every
+    coefficient the partials vanish mod p: not smooth."""
+    ring = TruncPolyRing(QUARTIC_VARS, 9)
+    partials = [TruncPoly(QUARTIC_VARS, 9,
+                          {e: rat(c) for e, c in f.partial(i).items()})
+                for i in range(4)]
+    nonics = [ring.monomial((a, b, c, 9 - a - b - c), 1)
+              for a in range(10) for b in range(10 - a)
+              for c in range(10 - a - b)]
+    return all(ideal_contains_all([int(p), *partials], nonics, p, ring))

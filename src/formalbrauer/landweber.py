@@ -165,10 +165,6 @@ def _contains(R: RingPresentation, gens, x) -> bool:
     return ideal_contains(gens, x, R.prime, R.base_ring)
 
 
-def _is_unit_mod(R: RingPresentation, gens, x) -> bool:
-    return _contains(R, list(gens) + [x], R.base_ring.one)
-
-
 def _fresh_pivot(R: RingPresentation, x: TruncPoly, basis: dict):
     """Reduce the linear part of x in the parameters, mod p, against basis,
     which maps each pivot column to its row mod p, 1 at the pivot and 0
@@ -230,7 +226,8 @@ def check_regular_sequence(R: RingPresentation, elems) -> list:
 
       * anything congruent to 0: zerodivisor (witness 1), or unknown when
         the element was truncated and only its part inside the window is 0;
-      * units modulo the earlier ideal: Unit;
+      * units modulo the earlier ideal: Unit; every later element is
+        Unknown, as the quotient is then the zero ring, where 1 = 0;
       * on relation-free presentations, while everything earlier was of
         these shapes:
         - the first nonzero constant: Regular;
@@ -264,13 +261,15 @@ def check_regular_sequence(R: RingPresentation, elems) -> list:
     constant_seen = False
     shapes_ok = True  # all earlier elements within the certified shapes
     one = R.base_ring.one
-    if _contains(R, gens, one):
-        return [RegularityVerdict("unknown", str(R.coerce(x)),
-                                  reason="presentation collapses to the zero ring")
-                for x in elems]
+    zero_ring = ("presentation collapses to the zero ring"
+                 if _contains(R, gens, one) else "")
     for raw in elems:
         x = R.coerce(raw)
         label = str(x)
+        if zero_ring:
+            verdicts.append(RegularityVerdict("unknown", label,
+                                              reason=zero_ring))
+            continue
         if _contains(R, gens, x):
             verdicts.append(
                 RegularityVerdict(
@@ -281,11 +280,13 @@ def check_regular_sequence(R: RingPresentation, elems) -> list:
                     "zerodivisor", label, witness=str(one),
                     reason="element is 0 in the quotient; 0 is never regular"))
             shapes_ok = False
-        elif _is_unit_mod(R, gens, x):
+        elif _contains(R, gens + [x], one):
             verdicts.append(RegularityVerdict(
                 "unit", label,
                 reason="1 lies in the ideal generated by this element and "
                        "its predecessors"))
+            zero_ring = ("an earlier element is a unit, so the quotient "
+                         "collapses to the zero ring")
         elif (not R.relations and shapes_ok and not constant_seen
               and x.total_degree() == 0):
             constant_seen = True
@@ -573,27 +574,25 @@ def certify_k3_spectrum(R: RingPresentation, f: QuarticForm, h_max: int
         homotopy=homotopy, report=report)
 
 
+SMOOTHNESS_PRIMES = (3, 5, 7, 11, 13)
+
+
 def rational_certificate(f: QuarticForm, cap: int = 8) -> K3SpectrumCertificate:
     """Certificate over the rationals: the law is additive (characteristic
     zero), and every even line has rank 1 because the canonical bundle of a
     smooth quartic surface is trivial.
 
-    Smoothness is only spot-checked: the first odd prime p <= 13 at which
-    smooth_check_fp finds no singular F_p-rational point is recorded. That
-    search misses singular points over extensions of F_p, so a singular
-    surface can pass: (T0^2 + T1^2)^2 + T2^4 + T3^4, singular at
-    (1 : +-i : 0 : 0), is recorded with spot-check prime 3."""
-    checked = None
-    for q in (3, 5, 7, 11, 13):
-        if all(c % q == 0 for c in f.terms.values()):
-            continue
-        if smooth_check_fp(f, Prime(q)):
-            checked = q
-            break
+    Smoothness is decided exactly: the first prime of SMOOTHNESS_PRIMES at
+    which smooth_check_fp finds the reduction smooth over the algebraic
+    closure of F_p is recorded. A smooth reduction at one prime implies
+    smoothness over the algebraic closure of Q. When no listed prime has a
+    smooth reduction, the certificate is refused (SmoothnessCheckFailed)."""
+    checked = next((q for q in SMOOTHNESS_PRIMES if smooth_check_fp(f, q)),
+                   None)
     if checked is None:
         raise SmoothnessCheckFailed(
-            f"{f.name}: no prime p <= 13 exhibits a smooth reduction; "
-            f"refusing the rational certificate")
+            f"{f.name}: no prime in {SMOOTHNESS_PRIMES} has a smooth "
+            f"reduction; refusing the rational certificate")
     law = standard_law("additive", QQ, cap)
     iso = {
         "type": "coordinate-identification",

@@ -404,6 +404,22 @@ def test_certify_timestamp_by_default(capsys):
     assert "generated_at" in json.loads(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("terms", [
+    # (T0^2 + T1^2)^2 + T2^4 + T3^4: singular at (1 : +-i : 0 : 0)
+    "4 0 0 0 1\n2 2 0 0 2\n0 4 0 0 1\n0 0 4 0 1\n0 0 0 4 1\n",
+    # T0^2 T1^2 + T2^2 T3^2: singular along lines at every prime
+    "2 2 0 0 1\n0 0 2 2 1\n",
+], ids=["g", "everywhere-singular"])
+def test_certify_rational_refuses_singular_quartic(terms, tmp_path, capsys):
+    qf = tmp_path / "singular.quartic"
+    qf.write_text(terms)
+    code = run(["certify", "--quartic", str(qf), "--rational"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err.startswith("certification refused: singular: no prime in")
+    assert out == ""
+
+
 def test_certify_requires_a_mode(capsys):
     assert run(["certify", "--quartic", "fermat"]) == 1
 

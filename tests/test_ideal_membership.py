@@ -335,8 +335,8 @@ def test_landweber_systems_match_dense_oracle(monkeypatch):
         systems.append(shifted_columns(generators, ring))
         return source(generators, ring)
 
-    def recording(row, column, targets, p):
-        got = sparse(row, column, targets, p)
+    def recording(row, column, targets, p, residue=False):
+        got = sparse(row, column, targets, p, residue)
         calls.append((systems[-1], targets, p, got))
         return got
 
@@ -463,15 +463,65 @@ def test_closed_point_rule_matches_elimination(case):
         [eliminated(gens, x, p, ring) for x in targets]
 
 
+@st.composite
+def residue_memberships(draw):
+    """integral_memberships with p times a unit u among the generators, so
+    that p lies in the ideal; u is a p-adic unit plus a multiple of the
+    first parameter, when there is one."""
+    p, ring, gens, targets = draw(integral_memberships())
+    u = ring.from_int(_unit(draw, p, 9))
+    if ring.variables:
+        u = u + ring.var(ring.variables[0]) * draw(st.integers(-2, 2))
+    return p, ring, gens + [u * p], targets
+
+
+@settings(max_examples=100, deadline=None)
+@given(residue_memberships())
+def test_residue_reading_matches_dense_oracle(case):
+    """With p in the ideal, ideal_contains_all reads the system mod p; it
+    gives the answers of the dense oracle and of the elimination over
+    Z_(p) for every target."""
+    p, ring, gens, targets = case
+    got = ideal_contains_all(gens, targets, p, ring)
+    cols = shifted_columns(gens, ring)
+    assert got == [dense_p_integral_solvable(cols, x.terms, p,
+                                             ring_monomials(ring))
+                   for x in targets]
+    assert got == [eliminated(gens, x, p, ring) for x in targets]
+
+
+def test_residue_reading_needs_p_in_the_ideal(monkeypatch):
+    """The system is read mod p when a generator is p times a unit and
+    everything is p-integral; not when the ideal holds only 9, or a target
+    has p in a denominator."""
+    flags = []
+    sparse = fgl._p_integral_solvable
+
+    def recording(row, column, targets, p, residue=False):
+        flags.append(residue)
+        return sparse(row, column, targets, p, residue)
+
+    monkeypatch.setattr(fgl, "_p_integral_solvable", recording)
+    ring = TruncPolyRing(("t",), 4)
+    t = ring.var("t")
+    assert ideal_contains_all([t * 6 + 3, t * t], [t ** 3 + 3 * t],
+                              3, ring) == [True]
+    assert ideal_contains_all([ring.from_int(9), t * t], [t ** 3 + 3 * t],
+                              3, ring) == [False]
+    assert ideal_contains_all([ring.from_int(3), t * t], [t * rat(1, 3)],
+                              3, ring) == [False]
+    assert flags == [True, False, False]
+
+
 def test_closed_point_rule_skips_the_elimination(monkeypatch):
     """p-integral unit questions are answered without an elimination; a
     non-integral generator or target still gets one."""
     calls = []
     sparse = fgl._p_integral_solvable
 
-    def counting(row, column, targets, p):
+    def counting(row, column, targets, p, residue=False):
         calls.append(len(targets))
-        return sparse(row, column, targets, p)
+        return sparse(row, column, targets, p, residue)
 
     monkeypatch.setattr(fgl, "_p_integral_solvable", counting)
     ring = TruncPolyRing(("t",), 4)
@@ -544,11 +594,11 @@ def test_rows_built_follow_the_question_not_the_ring(monkeypatch):
     built = []
     sparse = fgl._p_integral_solvable
 
-    def counting(row, column, targets, p):
+    def counting(row, column, targets, p, residue=False):
         def counted_row(i):
             built.append(i)
             return row(i)
-        return sparse(counted_row, column, targets, p)
+        return sparse(counted_row, column, targets, p, residue)
 
     monkeypatch.setattr(fgl, "_p_integral_solvable", counting)
     counts = []

@@ -1,9 +1,12 @@
 """Quartic surfaces: logarithm extraction, heights, ordinarity, smoothness."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from formalbrauer.coefficients import is_prime
 from formalbrauer.errors import CapTooSmall
 from formalbrauer.k3brauer import (
     BUILTIN_QUARTICS,
@@ -228,17 +231,187 @@ def test_ordinarity_matches_height_random_diagonals():
 
 
 # ---------------------------------------------------------------------------
-# smoothness spot-checks
+# smoothness of the reduction mod p
 # ---------------------------------------------------------------------------
+
+# two oracles at p = 3: a brute-force search for a singular point over F_3
+# or over F_9 = F_3[i]/(i^2 + 1), elements a + b i stored as pairs (a, b),
+# which finds only the rational ones; and a Groebner basis of the partials,
+# which decides whether they meet anywhere over the algebraic closure
+F3 = [(a, 0) for a in range(3)]
+F9 = [(a, b) for a in range(3) for b in range(3)]
+
+
+def _mul9(x, y):
+    return ((x[0] * y[0] - x[1] * y[1]) % 3, (x[0] * y[1] + x[1] * y[0]) % 3)
+
+
+POWERS9 = {}
+for _x in F9:
+    POWERS9[_x] = [(1, 0)]
+    for _ in range(4):
+        POWERS9[_x].append(_mul9(POWERS9[_x][-1], _x))
+
+
+def _vanishes(terms, point):
+    total = (0, 0)
+    for e, c in terms.items():
+        v = (c % 3, 0)
+        for x, k in zip(point, e):
+            if k:
+                v = _mul9(v, POWERS9[x][k])
+        total = ((total[0] + v[0]) % 3, (total[1] + v[1]) % 3)
+    return total == (0, 0)
+
+
+def projective_points(field):
+    """One point per line of field^4: its first nonzero coordinate is 1."""
+    for lead in range(4):
+        for tail in itertools.product(field, repeat=3 - lead):
+            yield ((0, 0),) * lead + ((1, 0),) + tail
+
+
+def singular_point_mod3(f, field):
+    """Does some point of P^3(field) kill f and its four partials mod 3?"""
+    forms = [f.terms] + [f.partial(i) for i in range(4)]
+    return any(all(_vanishes(g, pt) for g in forms)
+               for pt in projective_points(field))
+
+
+def _grevlex(e):
+    return (sum(e), tuple(-k for k in reversed(e)))
+
+
+def _monic3(g):
+    lead = max(g, key=_grevlex)
+    inv = pow(g[lead], -1, 3)
+    return {e: c * inv % 3 for e, c in g.items()}, lead
+
+
+def _remainder3(g, basis):
+    """The remainder mod 3 of g on division by the monic basis (grevlex)."""
+    g, rest = dict(g), {}
+    while g:
+        lead = max(g, key=_grevlex)
+        c = g.pop(lead)
+        for h, hl in basis:
+            if all(a >= b for a, b in zip(lead, hl)):
+                shift = [a - b for a, b in zip(lead, hl)]
+                for e, d in h.items():
+                    if e != hl:
+                        m = tuple(a + b for a, b in zip(e, shift))
+                        v = (g.get(m, 0) - c * d) % 3
+                        if v:
+                            g[m] = v
+                        else:
+                            g.pop(m, None)
+                break
+        else:
+            rest[lead] = c
+    return rest
+
+
+def singular_mod3(f):
+    """Do the four partials of f have a common zero in P^3 over the
+    algebraic closure of F_3?  Buchberger's algorithm; they have none
+    exactly when, for every variable, some leading monomial of the basis
+    is a power of that variable alone (Cox, Little, O'Shea ch. 5 and 8)."""
+    basis, pairs = [], []
+
+    def add(g):
+        basis.append(_monic3(g))
+        pairs.extend((i, len(basis) - 1) for i in range(len(basis) - 1))
+
+    for i in range(4):
+        r = _remainder3({e: c % 3 for e, c in f.partial(i).items() if c % 3},
+                        basis)
+        if r:
+            add(r)
+    while pairs:
+        pairs.sort(key=lambda ij: -sum(map(max, basis[ij[0]][1],
+                                           basis[ij[1]][1])))
+        i, j = pairs.pop()
+        (g, gl), (h, hl) = basis[i], basis[j]
+        if all(a == 0 or b == 0 for a, b in zip(gl, hl)):
+            continue                    # coprime leading monomials
+        lcm = list(map(max, gl, hl))
+        s = {}
+        for poly, lead, sign in ((g, gl, 1), (h, hl, -1)):
+            shift = [a - b for a, b in zip(lcm, lead)]
+            for e, c in poly.items():
+                m = tuple(a + b for a, b in zip(e, shift))
+                s[m] = (s.get(m, 0) + sign * c) % 3
+        r = _remainder3({e: c for e, c in s.items() if c}, basis)
+        if r:
+            add(r)
+    pure = {next(i for i, k in enumerate(lead) if k)
+            for _, lead in basis if sum(1 for k in lead if k) == 1}
+    return pure != {0, 1, 2, 3}
+
+
+# (T0^2 + T1^2)^2 + T2^4 + T3^4, singular at (1 : +-i : 0 : 0)
+G = QuarticForm({(4, 0, 0, 0): 1, (2, 2, 0, 0): 2, (0, 4, 0, 0): 1,
+                 (0, 0, 4, 0): 1, (0, 0, 0, 4): 1}, name="g")
+
+NONDIAGONAL = [e for e in itertools.product(range(4), repeat=4) if sum(e) == 4]
+
+
+def test_smoothness_matches_groebner_basis_mod_3():
+    """On deformations of Fermat by two or three monomials, smooth_check_fp
+    at p = 3 is False exactly when the partials meet over the algebraic
+    closure of F_3.  A singular point in P^3(F_9) forces False; both
+    outcomes occur, a search over F_3 alone misses a singular one, and
+    the last example's singular points lie over F_81 but not over F_9."""
+    seen, missed, beyond_f9 = set(), [], []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.sampled_from(NONDIAGONAL), st.integers(1, 2),
+                           min_size=2, max_size=3))
+    @example({(3, 1, 0, 0): 1, (0, 0, 3, 1): 1})
+    @example({(2, 2, 0, 0): 2, (0, 0, 2, 2): 2})
+    @example({(0, 1, 1, 2): 1, (1, 1, 2, 0): 1, (0, 2, 2, 0): 1})
+    def check(extra):
+        f = QuarticForm({**FERMAT.terms, **extra}, name="deformed")
+        singular = singular_mod3(f)
+        assert smooth_check_fp(f, 3) == (not singular)
+        seen.add(singular)
+        if singular_point_mod3(f, F9):
+            assert singular
+            if not singular_point_mod3(f, F3):
+                missed.append(extra)
+        elif singular:
+            beyond_f9.append(extra)
+
+    check()
+    assert seen == {True, False}
+    assert missed and beyond_f9
+    assert sum(1 for _ in projective_points(F9)) == 820
 
 
 def test_builtin_quartics_smooth_at_small_primes():
     for name in BUILTIN_QUARTICS:
         f = named_quartic(name)
         for p in (3, 5, 7, 11, 13):
-            if any(c % p == 0 for c in f.terms.values()):
-                continue
             assert smooth_check_fp(f, p), f"{name} singular mod {p}"
+
+
+def test_builtin_quartics_smooth_at_17_and_101():
+    # the test has no budget: its cost does not grow with p
+    for f in BUILTIN_QUARTICS.values():
+        assert smooth_check_fp(f, 17) and smooth_check_fp(f, 101)
+
+
+def test_singular_over_an_extension_field():
+    # G's singular points (1 : +-i : 0 : 0) are F_p-rational only at
+    # p = 1 mod 4, yet G is singular at each of these primes
+    for p in (3, 5, 7, 11, 13):
+        assert not smooth_check_fp(G, p)
+
+
+def test_fermat_cross_bad_prime_is_229():
+    bad = [p for p in range(3, 400, 2) if is_prime(p)
+           and not smooth_check_fp(CROSS, p)]
+    assert bad == [229]
 
 
 def test_dwork_pencil_singular_mod_3_and_5():
@@ -252,7 +425,8 @@ def test_dwork_pencil_singular_mod_3_and_5():
     assert smooth_check_fp(dwork, 7)
 
 
-def test_smoothness_budget_guard():
-    with pytest.raises(ValueError, match="budget"):
-        smooth_check_fp(FERMAT, 17)
-    assert smooth_check_fp(FERMAT, 17, budget=17)
+def test_smoothness_when_p_divides_every_coefficient():
+    # every partial is 0 mod 3: the reduction is not a surface
+    three_fermat = QuarticForm({e: 3 * c for e, c in FERMAT.terms.items()})
+    assert not smooth_check_fp(three_fermat, 3)
+    assert smooth_check_fp(three_fermat, 5)

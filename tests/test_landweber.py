@@ -123,6 +123,15 @@ def test_regular_sequence_unit_detection():
     assert [v.status for v in verdicts] == ["regular", "unit"]
 
 
+def test_regular_sequence_after_a_unit_is_unknown():
+    # after the unit 7 the quotient is the zero ring, where 1 = 0: 5 gets
+    # no zerodivisor verdict with the witness 1
+    verdicts = check_regular_sequence(zp_presentation(3), [3, 7, 5])
+    assert [v.status for v in verdicts] == ["regular", "unit", "unknown"]
+    assert verdicts[2].witness is None
+    assert "zero ring" in verdicts[2].reason
+
+
 def test_regular_sequence_multiple_of_earlier_element_is_zero():
     R = RingPresentation(Prime(3), ("t",), 8, ())
     t = R.base_ring.var("t")
@@ -541,6 +550,23 @@ def test_rational_certificate_refuses_everywhere_singular():
     f = QuarticForm({(2, 2, 0, 0): 1, (0, 0, 2, 2): 1}, name="bad")
     with pytest.raises(SmoothnessCheckFailed):
         rational_certificate(f)
+
+
+def test_rational_certificate_refuses_singular_over_an_extension():
+    # (T0^2 + T1^2)^2 + T2^4 + T3^4 is singular at (1 : +-i : 0 : 0), a
+    # point that is not F_p-rational at p = 3, 7 and 11
+    g = QuarticForm({(4, 0, 0, 0): 1, (2, 2, 0, 0): 2, (0, 4, 0, 0): 1,
+                     (0, 0, 4, 0): 1, (0, 0, 0, 4): 1}, name="g")
+    with pytest.raises(SmoothnessCheckFailed) as exc:
+        rational_certificate(g)
+    assert isinstance(exc.value, CertificationRefused)
+    assert exc.value.report is None
+
+
+@pytest.mark.parametrize("name", ["fermat", "diag-1248", "fermat-cross"])
+def test_rational_certificate_records_prime_3(name):
+    cert = rational_certificate(named_quartic(name))
+    assert cert.iso["smoothness_spot_check_prime"] == 3
 
 
 def test_builtin_scenario_unknown_name():

@@ -140,9 +140,9 @@ def test_torsion_scenario_stops_at_the_witness_batch(monkeypatch, p):
     calls = []
     sparse = fgl._p_integral_solvable
 
-    def counting(row, column, targets, p):
+    def counting(row, column, targets, p, residue=False):
         calls.append(len(targets))
-        return sparse(row, column, targets, p)
+        return sparse(row, column, targets, p, residue)
 
     R, *_ = builtin_scenario("torsion", p)
     gens = [R.coerce(r) for r in R.relations]
@@ -162,9 +162,9 @@ def test_torsion_search_runs_one_elimination(monkeypatch):
     calls = []
     sparse = fgl._p_integral_solvable
 
-    def counting(row, column, targets, p):
+    def counting(row, column, targets, p, residue=False):
         calls.append(len(targets))
-        return sparse(row, column, targets, p)
+        return sparse(row, column, targets, p, residue)
 
     monkeypatch.setattr(fgl, "_p_integral_solvable", counting)
     R = RingPresentation(THREE, ("t1", "t2"), 8, ())
