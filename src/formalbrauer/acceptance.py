@@ -1,10 +1,8 @@
 """The acceptance suite: eight named checks covering the whole pipeline.
 
 Each check is a pure function returning (ok, detail). The registry order is
-stable; `run_checks` executes a selection and times each one. The default
-profile runs the full advertised ranges; the tiny profile is a fast smoke
-configuration of the same checks for quick iteration. Every check reads its
-answers through the production routes (brauer_generators and
+stable; `run_checks` executes a selection and times each one. Every check
+reads its answers through the production routes (brauer_generators and
 closed_fibre_height for heights, landweber_check for reports); the slower
 p-series route is a test oracle and is not used here.
 """
@@ -57,34 +55,18 @@ class CheckOutcome:
     seconds: float
 
 
-def _caps(profile: str) -> dict:
-    if profile == "default":
-        return {
-            "dichotomy_primes": ((5, 13, 17), (3, 7, 11)),
-            "closed_form_cap": 17,
-            "axiom_cap": 12,
-            "elliptic_primes": (5, 7, 11, 13),
-            "reparam_count": 5,
-            "census": (
-                ("fermat", (3, 5, 7, 11, 13), 2),
-                ("diag-1248", (3, 5, 7, 11, 13), 2),
-                ("fermat-cross", (3, 5, 7), 2),
-                ("fermat-cross", (11, 13), 1),
-            ),
-        }
-    if profile == "tiny":
-        return {
-            "dichotomy_primes": ((5,), (3,)),
-            "closed_form_cap": 13,
-            "axiom_cap": 8,
-            "elliptic_primes": (5, 7),
-            "reparam_count": 2,
-            "census": (
-                ("fermat", (3, 5), 2),
-                ("fermat-cross", (3, 5), 2),
-            ),
-        }
-    raise ValueError(f"unknown profile {profile!r}; use 'default' or 'tiny'")
+# the ranges the checks run over
+DICHOTOMY_PRIMES = ((5, 13, 17), (3, 7, 11))
+CLOSED_FORM_CAP = 17
+AXIOM_CAP = 12
+ELLIPTIC_PRIMES = (5, 7, 11, 13)
+REPARAM_COUNT = 5
+CENSUS = (
+    ("fermat", (3, 5, 7, 11, 13), 2),
+    ("diag-1248", (3, 5, 7, 11, 13), 2),
+    ("fermat-cross", (3, 5, 7), 2),
+    ("fermat-cross", (11, 13), 1),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +74,11 @@ def _caps(profile: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def check_fermat_dichotomy(profile: str):
+def check_fermat_dichotomy():
     """Fermat heights split on p mod 4: Finite(1) when p = 1 (4), a height
     lower bound of 2 when p = 3 (4), and for p = 3 the bound climbs to 3 at
     h_max 3."""
-    ordinary, super_candidates = _caps(profile)["dichotomy_primes"]
+    ordinary, super_candidates = DICHOTOMY_PRIMES
     f = named_quartic("fermat")
     rows = []
     ok = True
@@ -110,18 +92,17 @@ def check_fermat_dichotomy(profile: str):
         good = (not r.is_finite) and r.value == 2
         ok = ok and good
         rows.append(f"p={p}: {r.describe()}")
-    if profile == "default":
-        r = brauer_height(f, 3, 3)
-        ok = ok and (not r.is_finite) and r.value == 3
-        rows.append(f"p=3 h_max 3: {r.describe()}")
+    r = brauer_height(f, 3, 3)
+    ok = ok and (not r.is_finite) and r.value == 3
+    rows.append(f"p=3 h_max 3: {r.describe()}")
     return ok, "; ".join(rows)
 
 
-def check_stienstra_closed_form(profile: str):
+def check_stienstra_closed_form():
     """The single-beta extractor (BetaExtractor, whose diagonal case is the
     closed form) reproduces the corridor pass coefficientwise on every
     built-in quartic, and the landmark values land exactly."""
-    cap = _caps(profile)["closed_form_cap"]
+    cap = CLOSED_FORM_CAP
     ok = True
     for name in sorted(BUILTIN_QUARTICS):
         f = named_quartic(name)
@@ -139,13 +120,13 @@ def check_stienstra_closed_form(profile: str):
                 f"beta_5=24, beta_9=2520, beta_3=0")
 
 
-def check_fgl_axioms(profile: str):
+def check_fgl_axioms():
     """Each law of the menagerie passes verify_axioms, and the logarithm
     log_from_fgl recovers from it is the one it came from, a second
     construction: T for the additive law, sum (-1)^(n+1) T^n / n for the
     multiplicative one, and the Stienstra, elliptic and Hazewinkel
     logarithms the others were built from."""
-    cap = _caps(profile)["axiom_cap"]
+    cap = AXIOM_CAP
     ring = TruncPolyRing(("t",), cap)
     mult = {n: rat((-1) ** (n + 1), n) for n in range(1, cap + 1)}
     fermat = stienstra_log(named_quartic("fermat"), cap).log
@@ -177,21 +158,20 @@ def check_fgl_axioms(profile: str):
     return ok, detail
 
 
-def check_elliptic_oracle(profile: str):
+def check_elliptic_oracle():
     """The height closed_fibre_height reads off an elliptic logarithm's
     coefficients at T^p and T^(p^2) matches the point count: Finite(1) at
     ordinary primes, Finite(2), witnessed in degree p^2, at supersingular
     ones. With no law built, the Weierstrass expansion behind elliptic_log
     reaches cap 13^2 + 1 in well under a second, so every prime reads
     T^(p^2)."""
-    primes = _caps(profile)["elliptic_primes"]
-    cap = max(primes) ** 2 + 1
+    cap = max(ELLIPTIC_PRIMES) ** 2 + 1
     curves = {"y^2=x^3+x": (0, 0, 0, 1, 0), "y^2=x^3+1": (0, 0, 0, 0, 1)}
     rows = []
     ok = True
     for cname, coeffs in curves.items():
         log = elliptic_log(coeffs, cap).series
-        for p in primes:
+        for p in ELLIPTIC_PRIMES:
             verdict = elliptic_ss_oracle(coeffs, Prime(p))
             ells = (log.coeff(p ** n) for n in (1, 2))
             h, _ = closed_fibre_height(ells, Prime(p), 2)
@@ -208,11 +188,10 @@ def _mutually_contained(side_a, side_b, p, ring) -> bool:
             and all(ideal_contains_all(side_a, side_b, p, ring)))
 
 
-def check_coordinate_independence(profile: str):
+def check_coordinate_independence():
     """landweber_check gives seeded unit reparameterizations of the
     height-2 Hazewinkel law v = (0, 1) over Z_(3) the base law's height,
     Finite(2) in degree 9, its statuses and its ideal (p, v_1)."""
-    count = _caps(profile)["reparam_count"]
     rng = random.Random(SEED)
     p, cap, h_max = Prime(3), 10, 2
     R = zp_presentation(p)
@@ -224,7 +203,7 @@ def check_coordinate_independence(profile: str):
         ("finite", 2, 9)
     rows = [f"base: {base_h.describe()}, {base_statuses}"]
     units = [1, -1, 2, -2, 4, 5, 7]
-    for k in range(count):
+    for k in range(REPARAM_COUNT):
         u1 = units[rng.randrange(len(units))]
         coeffs = {(1,): rat(u1)}
         for d in range(2, 5):
@@ -244,10 +223,9 @@ def check_coordinate_independence(profile: str):
     return ok, "; ".join(rows)
 
 
-def check_landweber_scenarios(profile: str):
+def check_landweber_scenarios():
     """The three built-in exactness scenarios land on their verdicts,
     statuses and stabilization, and the torsion one on its witness 3."""
-    del profile
     expected = {
         "zp-multiplicative": ("exact", ["regular", "unit"], 1),
         "hazewinkel-t1": ("exact", ["regular", "regular", "unit"], 2),
@@ -272,10 +250,9 @@ def check_landweber_scenarios(profile: str):
     return ok, "; ".join(rows)
 
 
-def check_rational_certificate(profile: str):
+def check_rational_certificate():
     """The rational certificate for the Fermat quartic matches the golden
     structure exactly."""
-    del profile
     cert = rational_certificate(named_quartic("fermat"))
     doc = cert.to_json_dict()
     ok = doc == GOLDEN_RATIONAL_FERMAT
@@ -302,16 +279,15 @@ def point_count(f, p: int) -> int:
     return sum(v % p == 0 for v in values)
 
 
-def check_point_count(profile: str):
+def check_point_count():
     """On every census cell, v_1 = beta_p from brauer_generators satisfies
     #X(F_p) = 1 + beta_p (mod p). Summed over F_p^4, f^(p-1) keeps only its
     coefficient of (T0 T1 T2 T3)^(p-1), which is beta_p (Chevalley-Warning),
     so the congruence ties beta_p, and with it the height-1 verdict
     (Artin-Mazur), to the surface's points, whatever route computed it."""
-    census = _caps(profile)["census"]
     rows = []
     ok = True
-    for qname, primes, h_max in census:
+    for qname, primes, h_max in CENSUS:
         f = named_quartic(qname)
         for p in primes:
             h, vs = brauer_generators(f, p, h_max)
@@ -336,7 +312,7 @@ CHECKS = {
 }
 
 
-def run_checks(names=None, profile: str = "default") -> list:
+def run_checks(names=None) -> list:
     if names is None:
         names = list(CHECKS)
     unknown = next((name for name in names if name not in CHECKS), None)
@@ -347,7 +323,7 @@ def run_checks(names=None, profile: str = "default") -> list:
     for name in names:
         start = perf_counter()
         try:
-            ok, detail = CHECKS[name](profile)
+            ok, detail = CHECKS[name]()
         except Exception as exc:  # a crash is a failure with its message
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         outcomes.append(CheckOutcome(name, ok, detail, perf_counter() - start))

@@ -130,8 +130,6 @@ def _build_parser() -> _Parser:
                     metavar="CHECK",
                     help="run a subset (comma-separated, repeatable); an "
                          "unknown name is an error that lists every check")
-    sp.add_argument("--caps", choices=("default", "tiny"), default="default",
-                    help="cap profile")
     return parser
 
 
@@ -348,7 +346,7 @@ def cmd_selftest(ns) -> int:
         names = []
         for chunk in ns.only:
             names.extend(x.strip() for x in chunk.split(",") if x.strip())
-    outcomes = run_checks(names, profile=ns.caps)
+    outcomes = run_checks(names)
     failures = 0
     for o in outcomes:
         mark = "PASS" if o.ok else "FAIL"

@@ -29,8 +29,6 @@ p-series over QQ, reduced mod p, stays as the criterion's test oracle.
 
 from __future__ import annotations
 
-from math import gcd
-
 from .coefficients import QQ, Prime, TruncPoly, TruncPolyRing, multinomial, rat
 from .errors import CapTooSmall
 from .fgl import (HeightResult, Logarithm, closed_fibre_height,
@@ -248,10 +246,9 @@ class BetaExtractor:
     the others, the free monomials, are enumerated, and the residual r
     fixes the basis multiplicities x = adj(B) r / det(B), which count only
     when integral and nonnegative. A diagonal quartic has no free monomial:
-    its one point is x = (N/4, ..., N/4), there when 4 | N. In general, with
-    no free monomial the one candidate N adj(B) (1, 1, 1, 1) / det(B) is
-    integral exactly when `period` divides N, so beta_m = 0 otherwise is
-    read off without a walk; with free monomials `period` is 1.
+    its one point is x = (N/4, ..., N/4), there when 4 | N. With no free
+    monomial the walk is that one point, whose integrality check decides
+    whether beta_m is 0.
 
     The basis is taken greedily from the monomials of smallest largest
     exponent, so the free ones are those with the fewest multiplicities to
@@ -261,15 +258,14 @@ class BetaExtractor:
     serves.
     """
 
-    __slots__ = ("f", "basis", "free", "det", "period", "_target", "_steps",
-                 "_basis_c")
+    __slots__ = ("f", "basis", "free", "det", "_target", "_steps", "_basis_c")
 
     def __init__(self, f: QuarticForm):
         self.f = f
         monos = sorted(f.terms.items(), key=lambda t: (max(t[0]), t[0]))
         chosen = _independent_four(monos)
         if chosen is None:
-            self.basis, self.free, self.det, self.period = None, monos, 0, 1
+            self.basis, self.free, self.det = None, monos, 0
             return
         self.basis = [monos[k] for k in chosen]
         self.free = [t for k, t in enumerate(monos) if k not in chosen]
@@ -283,7 +279,6 @@ class BetaExtractor:
         # det * x = adj r is tracked along the walk: adj (1, 1, 1, 1) per
         # unit of N, less adj e for each free monomial placed
         self._target = tuple(sum(row) for row in adj)
-        self.period = 1 if self.free else det // gcd(det, *self._target)
         self._steps = [(e, c, tuple(sum(a * k for a, k in zip(row, e))
                                     for row in adj))
                        for e, c in self.free]
@@ -314,8 +309,6 @@ class BetaExtractor:
     def beta(self, m: int) -> int:
         if m < 1:
             raise ValueError("beta index starts at 1")
-        if (m - 1) % self.period:
-            return 0
         if self.route(m) == "corridor":
             return power_diagonal(self.f, m - 1)[m - 1]
         return self._enumerate(m - 1)

@@ -17,10 +17,10 @@ presentation denotes the (p-local) polynomial ring observed through the
 degree window, so truncation is never allowed to manufacture zerodivisors:
 a torsion witness only counts when its defining product stayed inside the
 window, and an element that vanishes only inside the window is Unknown.
-The checker is deliberately scoped to the shapes that actually arise from
-group laws - the first constant, elements whose linear parts mod p are
-independent (part of a regular system of parameters), units, and explicit
-torsion - and answers Unknown elsewhere.
+Regular is certified by one criterion: an element of m = (p, t_1..t_k)
+whose image in m/m^2 is independent of the earlier elements' images is part
+of a regular system of parameters. Beside it stand units and explicit
+torsion, and the checker answers Unknown elsewhere.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .fgl import (
     ideal_contains_all,
     log_from_fgl,
     standard_law,
+    unit_at_closed_point,
 )
 from .k3brauer import (
     QuarticForm,
@@ -166,25 +167,35 @@ def _contains(R: RingPresentation, gens, x) -> bool:
 
 
 def _fresh_pivot(R: RingPresentation, x: TruncPoly, basis: dict):
-    """Reduce the linear part of x in the parameters, mod p, against basis,
-    which maps each pivot column to its row mod p, 1 at the pivot and 0
-    before it. When something is left, add it to basis and return the
-    parameter at its new pivot, with a p-unit coefficient there; otherwise
-    None. x is p-integral."""
+    """Reduce the image of x in m/m^2 = F_p t_1 + ... + F_p t_k + F_p p,
+    coordinates in that order, against basis, which maps each pivot column
+    to its row mod p, 1 at the pivot and 0 before it. When something is
+    left, add it to basis and return its new pivot column (k for p);
+    otherwise None. x is p-integral and not a unit at the closed point.
+
+    A t_j coordinate is x's linear coefficient mod p, and the p coordinate
+    its constant term over p, mod p; terms past the cap lie in m^2, so the
+    image is exact at every cap. A nonzero constant p^a u that was not
+    truncated is read as p, since powers of a regular sequence are regular
+    (Matsumura 16.1); a truncated one is not, as its tail is unknown."""
     q, k = R.p, len(R.parameters)
-    v = [0] * k
-    for e, c in x.terms.items():
-        if sum(e) == 1:
-            v[e.index(1)] = c.numerator * pow(c.denominator, -1, q) % q
+    v = [0] * (k + 1)
+    if x.terms and not x.truncated and x.total_degree() == 0:
+        v[k] = 1
+    else:
+        for e, c in x.terms.items():
+            if sum(e) == 1:
+                v[e.index(1)] = c
+        v[k] = x.constant_term() / q
+        v = [c.numerator * pow(c.denominator, -1, q) % q for c in v]
     for j in sorted(basis):
         if v[j]:
             v = [(a - v[j] * b) % q for a, b in zip(v, basis[j])]
     j = next((j for j, a in enumerate(v) if a), None)
-    if j is None:
-        return None
-    inv = pow(v[j], -1, q)
-    basis[j] = [a * inv % q for a in v]
-    return R.parameters[j]
+    if j is not None:
+        inv = pow(v[j], -1, q)
+        basis[j] = [a * inv % q for a in v]
+    return j
 
 
 def _torsion_witness(R: RingPresentation, gens, x):
@@ -222,44 +233,40 @@ def _torsion_witness(R: RingPresentation, gens, x):
 
 def check_regular_sequence(R: RingPresentation, elems) -> list:
     """Classify each element against the ideal of relations plus all earlier
-    elements. The certified shapes:
+    elements:
 
-      * anything congruent to 0: zerodivisor (witness 1), or unknown when
-        the element was truncated and only its part inside the window is 0;
+      * on relation-free presentations, while every earlier element was
+        Regular: a p-integral non-unit whose image in m/m^2 is independent
+        of the earlier elements' images (_fresh_pivot): Regular;
+      * anything else congruent to 0: zerodivisor (witness 1), or unknown
+        when the element was truncated and only its part inside the window
+        is 0;
       * units modulo the earlier ideal: Unit; every later element is
         Unknown, as the quotient is then the zero ring, where 1 = 0;
-      * on relation-free presentations, while everything earlier was of
-        these shapes:
-        - the first nonzero constant: Regular;
-        - a p-integral element whose linear part in the parameters, mod p,
-          is independent of the earlier elements' linear parts: Regular;
       * explicit torsion found by the bounded search: Zerodivisor;
 
     and Unknown with a reason for everything else.
 
-    The two Regular shapes hold because A = Z_(p)[t_1..t_k], local at
-    m = (p, t_1, ..., t_k), is a regular local ring. Elements of m whose
+    Regular rests on one criterion. A = Z_(p)[t_1..t_k], local at
+    m = (p, t_1, ..., t_k), is a regular local ring, so elements of m whose
     images in m/m^2 are independent are part of a regular system of
-    parameters, so they form a regular sequence in any order, and the
-    quotient by them is again regular, a domain (Matsumura, Commutative Ring
-    Theory, 14.2 and 17.4). The certified non-constant elements and p have
-    independent images, so the first constant, p^a u with u a unit, is
-    nonzero in the domain they cut out, and with p^a in place of p the
-    sequence stays regular in any order. A second constant is left to the
-    search: 3 is a zerodivisor modulo 9.
+    parameters and form a regular sequence in any order (Matsumura,
+    Commutative Ring Theory, 14.2 and 17.4); a constant p^a u in place of p
+    keeps it regular (16.1). An element so certified needs no zero test: were
+    it in the ideal of the earlier ones, its image would lie in the span of
+    theirs.
 
     While the relations and elements are p-integral the collapse test ("1
     in the relations") and each unit test need no elimination: the ideal
     holds 1 exactly when one of its generators is a unit at the closed point
     (ideal_contains_all, which eliminates whenever p sits in some
-    denominator). What is left costs one elimination per element for its
-    zero test and one per power of p its torsion search reaches; each
-    pivots from the target and builds only the rows it touches."""
+    denominator). What is left costs one elimination per element not
+    certified, for its zero test, and one per power of p its torsion search
+    reaches; each pivots from the target and builds only the rows it
+    touches."""
     verdicts = []
     gens = [R.coerce(r) for r in R.relations]
-    basis: dict = {}  # the certified elements' linear parts, mod p
-    constant_seen = False
-    shapes_ok = True  # all earlier elements within the certified shapes
+    basis: dict = {}  # the certified elements' images in m/m^2
     one = R.base_ring.one
     zero_ring = ("presentation collapses to the zero ring"
                  if _contains(R, gens, one) else "")
@@ -270,7 +277,22 @@ def check_regular_sequence(R: RingPresentation, elems) -> list:
             verdicts.append(RegularityVerdict("unknown", label,
                                               reason=zero_ring))
             continue
-        if _contains(R, gens, x):
+        if (not R.relations and len(basis) == len(verdicts)
+                and _p_integral(x, R.prime)
+                and not unit_at_closed_point(x, R.prime)
+                and (j := _fresh_pivot(R, x, basis)) is not None):
+            if x.total_degree() == 0 and not x.truncated:
+                base = "free polynomial" if R.parameters else "torsion-free"
+                reason = f"nonzero scalar on a {base} base"
+            elif j < len(R.parameters):
+                reason = (f"linear part contains fresh parameter "
+                          f"{R.parameters[j]} with p-unit coefficient")
+            else:
+                reason = ("image in m/m^2 independent of the earlier "
+                          "elements' images, with its pivot at p")
+            verdicts.append(RegularityVerdict("regular", label,
+                                              reason=reason))
+        elif _contains(R, gens, x):
             verdicts.append(
                 RegularityVerdict(
                     "unknown", label,
@@ -279,7 +301,6 @@ def check_regular_sequence(R: RingPresentation, elems) -> list:
                 if x.truncated else RegularityVerdict(
                     "zerodivisor", label, witness=str(one),
                     reason="element is 0 in the quotient; 0 is never regular"))
-            shapes_ok = False
         elif _contains(R, gens + [x], one):
             verdicts.append(RegularityVerdict(
                 "unit", label,
@@ -287,18 +308,6 @@ def check_regular_sequence(R: RingPresentation, elems) -> list:
                        "its predecessors"))
             zero_ring = ("an earlier element is a unit, so the quotient "
                          "collapses to the zero ring")
-        elif (not R.relations and shapes_ok and not constant_seen
-              and x.total_degree() == 0):
-            constant_seen = True
-            base = "free polynomial" if R.parameters else "torsion-free"
-            verdicts.append(RegularityVerdict(
-                "regular", label, reason=f"nonzero scalar on a {base} base"))
-        elif (not R.relations and shapes_ok and _p_integral(x, R.prime)
-              and (t := _fresh_pivot(R, x, basis)) is not None):
-            verdicts.append(RegularityVerdict(
-                "regular", label,
-                reason=f"linear part contains fresh parameter {t} with "
-                       f"p-unit coefficient"))
         else:
             w = _torsion_witness(R, gens, x)
             if w is not None:
@@ -308,10 +317,10 @@ def check_regular_sequence(R: RingPresentation, elems) -> list:
             else:
                 verdicts.append(RegularityVerdict(
                     "unknown", label,
-                    reason="outside the certified shapes (the first "
-                           "constant, independent linear parts mod p, "
-                           "units) and no torsion found"))
-            shapes_ok = False
+                    reason="outside the certified criterion (an image in "
+                           "m/m^2 independent of the earlier elements', on a "
+                           "relation-free base), not a unit, and no torsion "
+                           "found"))
         gens.append(x)
     return verdicts
 

@@ -15,7 +15,7 @@ from formalbrauer.acceptance import CHECKS, run_checks
 
 @pytest.mark.parametrize("name", list(CHECKS))
 def test_acceptance(name):
-    outcome = run_checks([name], profile="default")[0]
+    outcome = run_checks([name])[0]
     status = "PASS" if outcome.ok else "FAIL"
     print(f"{status} {outcome.name} ({outcome.seconds:.2f}s): {outcome.detail}")
     assert outcome.ok, f"{outcome.name}: {outcome.detail}"
@@ -31,7 +31,7 @@ def test_point_count_fails_on_a_wrong_beta_p(monkeypatch):
     monkeypatch.setattr(acceptance, "brauer_generators", beta_p_off_by_one)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["selftest", "--caps", "tiny", "--only", "point-count"])
+        code = cli.main(["selftest", "--only", "point-count"])
     assert code == 1
     assert out.getvalue().startswith("FAIL point-count")
     assert "#X=16 != 1+beta_p" in out.getvalue()

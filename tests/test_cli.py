@@ -459,17 +459,24 @@ def test_certify_rational_with_p_local_options_is_a_usage_error(extra,
 # ---------------------------------------------------------------------------
 
 
-def test_selftest_tiny_passes(capsys):
-    code = run(["selftest", "--caps", "tiny"])
+def test_selftest_passes(capsys):
+    code = run(["selftest"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("PASS") == 8
     assert "8/8 checks passed" in out
 
 
+def test_selftest_caps_is_not_an_option(capsys):
+    # the checks run over one set of ranges; there is no profile to pick
+    with pytest.raises(SystemExit) as exc:
+        run(["selftest", "--caps", "tiny"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --caps tiny" in capsys.readouterr().err
+
+
 def test_selftest_only_subset(capsys):
-    code = run(["selftest", "--caps", "tiny", "--only",
-                "fermat-dichotomy,point-count"])
+    code = run(["selftest", "--only", "fermat-dichotomy,point-count"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("PASS") == 2
@@ -486,7 +493,7 @@ def test_selftest_rejects_unknown_names_before_any_check_runs(monkeypatch,
                                                               capsys):
     ran = []
     monkeypatch.setitem(acceptance.CHECKS, "fgl-axioms",
-                        lambda profile: ran.append(profile) or (True, ""))
+                        lambda: ran.append("fgl-axioms") or (True, ""))
     assert run(["selftest", "--only", "fgl-axioms,nope"]) == 1
     out, err = capsys.readouterr()
     assert ran == []
@@ -497,7 +504,7 @@ def test_selftest_rejects_unknown_names_before_any_check_runs(monkeypatch,
 def test_selftest_reports_failures(monkeypatch, capsys):
     from formalbrauer.acceptance import CheckOutcome
 
-    def fake(names=None, profile="default"):
+    def fake(names=None):
         return [CheckOutcome("fermat-dichotomy", False, "synthetic", 0.0)]
     monkeypatch.setattr(acceptance, "run_checks", fake)
     code = run(["selftest"])
@@ -522,7 +529,7 @@ def test_reused_parser_carries_nothing_from_one_call_to_the_next(capsys):
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [r["quartic"] for r in rows] == ["fermat"]
 
-    selftest = ["selftest", "--caps", "tiny", "--only"]
+    selftest = ["selftest", "--only"]
     assert run(selftest + ["fermat-dichotomy"]) == 0
     assert run(selftest + ["point-count"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -586,7 +593,7 @@ def test_startup_defers_imports_to_the_commands_that_use_them():
                 height + ["--format", "csv"],
                 height[:-1] + ["--format", "json"],
                 height + ["--jobs", "2"],
-                ["selftest", "--only", "fermat-dichotomy", "--caps", "tiny"]]
+                ["selftest", "--only", "fermat-dichotomy"]]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", STARTUP_PROBE, json.dumps(DEFERRED),

@@ -325,9 +325,12 @@ def test_pivot_rule_regression_fixture():
 
 
 def test_landweber_systems_match_dense_oracle(monkeypatch):
-    """Every system the Hazewinkel regular-sequence check and the ideal
-    chain pose gets the oracle's answer for each of its targets, on the
-    eager columns of its generators."""
+    """Every system the regular-sequence checks of two Hazewinkel reports
+    and the ideal chain pose gets the oracle's answer for each of its
+    targets, on the eager columns of its generators. The first report
+    certifies each element by its image in m/m^2 and poses none; the
+    second has dependent linear parts, whose zero test and torsion search
+    reach the elimination."""
     systems, calls = [], []
     sparse, source = fgl._p_integral_solvable, fgl._shifted_system
 
@@ -347,6 +350,15 @@ def test_landweber_systems_match_dense_oracle(monkeypatch):
     v = [R.base_ring.var("t1"), R.base_ring.var("t2"), R.base_ring.one]
     report = landweber_check(R, hazewinkel_log(v, three, 28), 3)
     assert report.verdict == "exact"
+    assert not systems
+    # x1 = t1 + t2 and x2 = x1 + t1 t3 share their linear part, so x2 goes
+    # to the elimination (test_landweber._dependent_linear_parts, here at
+    # cap 4, where the dense oracle stays small)
+    R = RingPresentation(three, ("t1", "t2", "t3"), 4, ())
+    t1, t2, t3 = (R.base_ring.var(t) for t in R.parameters)
+    v = [t1 + t2, t1 + t2 + t1 * t3, t3 + t1 * t3, R.base_ring.one]
+    report = landweber_check(R, hazewinkel_log(v, three, 82), 4)
+    assert report.verdict == "inconclusive"
     ring = TruncPolyRing(("t",), 12)
     ps = p_series(hazewinkel_log([ring.var("t"), ring.one], three, 10),
                   three, 10)

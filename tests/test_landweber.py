@@ -1,6 +1,7 @@
 """Regular sequences, exactness reports, and spectrum certificates."""
 
 import json
+from itertools import combinations, combinations_with_replacement
 from itertools import product as _iproduct
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from formalbrauer.fgl import (
     fgl_from_log,
     hazewinkel_log,
     ideal_contains,
+    ideal_contains_all,
     log_from_fgl,
     standard_law,
 )
@@ -142,16 +144,14 @@ def test_regular_sequence_multiple_of_earlier_element_is_zero():
     assert verdicts[1].witness == "1"
 
 
-def test_regular_sequence_consumed_parameter_is_honest_unknown():
+def test_regular_sequence_parameter_then_its_shift_by_p_is_regular():
     R = RingPresentation(Prime(3), ("t",), 8, ())
     t = R.base_ring.var("t")
     verdicts = check_regular_sequence(R, [t, t + 3])
-    assert verdicts[0].status == "regular"
-    # (t, t + 3) is in fact regular, but the linear part of t + 3 is t's
-    # and the constant residue 3 is outside the certified shapes: unknown,
-    # never a guess
-    assert verdicts[1].status == "unknown"
-    assert "certified shapes" in verdicts[1].reason
+    # the images t and t + 3 span m/m^2, so (t, t + 3) is a regular system
+    # of parameters: t + 3 reduces against t to 3, its pivot at p
+    assert [v.status for v in verdicts] == ["regular", "regular"]
+    assert "pivot at p" in verdicts[1].reason
 
 
 def _dependent_linear_parts():
@@ -212,6 +212,73 @@ def test_a_truncated_element_zero_in_the_window_is_unknown():
     assert [v.status for v in verdicts] == ["regular", "unknown"]
     assert "past the cap" in verdicts[1].reason
     assert check_regular_sequence(R, [3, R.coerce(0)])[1].status == "zerodivisor"
+
+
+def _eisenstein_pair(R):
+    """x1 = 3 + (3/2) t + 2 t^2 is prime in Z_(3)[t] (Eisenstein after
+    Weierstrass preparation) and x2 = t/2 + (9/2) t^2 is t times a unit, so
+    (x1, x2) is regular; their images in m/m^2 are p and t/2."""
+    t = R.base_ring.var("t")
+    return [R.coerce(3) + t * rat(3, 2) + t * t * 2,
+            t * rat(1, 2) + t * t * rat(9, 2)]
+
+
+def _p5_pair(R):
+    """(25 - t2/2, 10 + t2^2 + 10 t1^2): images -t2/2 and 2p."""
+    t1, t2 = R.base_ring.var("t1"), R.base_ring.var("t2")
+    return [R.coerce(25) - t2 * rat(1, 2),
+            R.coerce(10) + t2 * t2 + t1 * t1 * 10]
+
+
+def _shifted_pair(R):
+    """(3 + t/2, 3 + 9 t^4): images p + t/2 and p; modulo the first,
+    t = -6 and the second is 3 times a unit."""
+    t = R.base_ring.var("t")
+    return [R.coerce(3) + t * rat(1, 2), R.coerce(3) + t ** 4 * 9]
+
+
+@pytest.mark.parametrize("p, params, cap, elems", [
+    # the zero test or the torsion search once gave these a zerodivisor
+    # "witness" read inside the window: 3, 3t^2, 9t^4; 3125 t2; 81
+    (3, ("t",), 2, _eisenstein_pair),
+    (3, ("t",), 4, _eisenstein_pair),
+    (3, ("t",), 8, _eisenstein_pair),
+    (5, ("t1", "t2"), 3, _p5_pair),
+    (3, ("t",), 4, _shifted_pair),
+], ids=["eisenstein-cap2", "eisenstein-cap4", "eisenstein-cap8", "p5-cap3",
+        "shifted-cap4"])
+def test_window_zerodivisors_with_independent_images_are_regular(
+        p, params, cap, elems):
+    R = RingPresentation(Prime(p), params, cap)
+    verdicts = check_regular_sequence(R, elems(R))
+    assert [v.status for v in verdicts] == ["regular", "regular"]
+
+
+@pytest.mark.parametrize("params, x", [
+    ((), lambda ring: 9),                                 # read as p
+    (("t",), lambda ring: 3 + ring.var("t") ** 2),        # image p
+], ids=["9", "3+t^2"])
+def test_an_element_with_image_p_is_regular(params, x):
+    R = RingPresentation(Prime(3), params, 8)
+    [v] = check_regular_sequence(R, [x(R.base_ring)])
+    assert v.status == "regular"
+
+
+def test_a_truncated_constant_is_not_read_as_p():
+    # at cap 1, 9 - t^2 shows only 9; read as p it would be certified with
+    # no zero test, yet it is 0 modulo t - 3. Its image 9/3 = 0 (mod 3)
+    # sends it to the zero test, which finds it 0 inside the window
+    R = RingPresentation(Prime(3), ("t",), 1)
+    t = R.base_ring.var("t")
+    y = R.coerce(9) - t * t
+    assert y.truncated and y.total_degree() == 0
+    verdicts = check_regular_sequence(R, [t - 3, y])
+    assert [v.status for v in verdicts] == ["regular", "unknown"]
+    assert "past the cap" in verdicts[1].reason
+    # the constant 9 itself is read as p: (t - 3, 9) is regular
+    verdicts = check_regular_sequence(R, [t - 3, 9])
+    assert [v.status for v in verdicts] == ["regular", "regular"]
+    assert "nonzero scalar" in verdicts[1].reason
 
 
 _PARAMS = ("t1", "t2", "t3")
@@ -337,6 +404,59 @@ def _constructed_zerodivisors(draw):
 def test_a_constructed_zerodivisor_is_never_regular(case):
     R, elems = case
     assert check_regular_sequence(R, elems)[-1].status != "regular"
+
+
+def _completes_to_a_basis(R, xs):
+    """The elimination oracle: is m contained in (x_1..x_i, S) + m^2 for
+    some set S of k + 1 - i of the coordinates p, t_1..t_k? That holds
+    exactly when the images of the x's in m/m^2 are independent. A nonzero
+    constant that was not truncated is read as p."""
+    ring = R.base_ring
+    coords = [ring.from_int(R.p), *(ring.var(t) for t in R.parameters)]
+    square = [a * b for a, b in combinations_with_replacement(coords, 2)]
+    xs = [ring.from_int(R.p) if x.terms and not x.truncated
+          and x.total_degree() == 0 else x for x in xs]
+    if len(xs) > len(coords):
+        return False
+    return any(all(ideal_contains_all([*xs, *S, *square], coords, R.prime,
+                                      ring))
+               for S in combinations(coords, len(coords) - len(xs)))
+
+
+@st.composite
+def _non_unit_sequences(draw):
+    """(R, [x_1, ..., x_r]) over Z_(p)[t_1..t_k], k <= 2, no relations, cap
+    1..4: p-integral elements of (p, t), a p a + sum_j b_j t_j plus terms
+    of degree 2 and up, with a and the b_j in -p..p, or constants p u and
+    p^2 u; sometimes times the unit 1 + t_1, which may truncate them."""
+    p = draw(st.sampled_from([3, 5]))
+    k = draw(st.integers(0, 2))
+    R = RingPresentation(Prime(p), _PARAMS[:k], draw(st.integers(1, 4)))
+    ring = R.base_ring
+    coords = [ring.from_int(p), *(ring.var(t) for t in R.parameters)]
+    xs = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 3)):
+            x = sum((draw(st.integers(-p, p)) * c for c in coords),
+                    _random_element(draw, ring, range(2, R.cap + 1)))
+        else:
+            x = ring.coerce(p ** draw(st.integers(1, 2))
+                            * draw(st.sampled_from([1, 2, rat(1, 2)])))
+        if k and draw(st.booleans()):
+            x = x * (1 + ring.var("t1"))
+        xs.append(x)
+    return R, xs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_non_unit_sequences())
+def test_certified_exactly_when_the_images_are_independent(case):
+    R, xs = case
+    verdicts = check_regular_sequence(R, xs)
+    for i in range(1, len(xs) + 1):
+        certified = all(v.status == "regular" for v in verdicts[:i])
+        event(f"prefix of {i} {'certified' if certified else 'not'}")
+        assert certified == _completes_to_a_basis(R, xs[:i])
 
 
 def test_regular_sequence_zero_ring_guard():

@@ -174,3 +174,31 @@ def test_torsion_search_runs_one_elimination(monkeypatch):
     # one elimination for the zero test of t1*t2, then one for each of the
     # batches of 1 and of 3
     assert len(calls) == 1 + 2
+
+
+@pytest.mark.parametrize("p, params, cap, h_max", [
+    (3, ("t",), 12, 2), (5, ("t",), 12, 2), (7, ("t",), 12, 2),
+    (3, ("t1", "t2"), 6, 3), (3, ("t1", "t2", "t3"), 12, 4),
+], ids=["t-p3", "t-p5", "t-p7", "t1t2", "t1t2t3"])
+def test_hazewinkel_reports_need_no_elimination(monkeypatch, p, params, cap,
+                                                h_max):
+    """The Hazewinkel law v = (t_1, ..., t_k, 1) is exact: p and each t_i
+    are certified by their images in m/m^2, which skips the zero test, and
+    the unit v_(k+1) = 1 is read at the closed point, so the report makes
+    no _p_integral_solvable call at all (hazewinkel-t1 is k = 1)."""
+    calls = []
+    sparse = fgl._p_integral_solvable
+
+    def counting(row, column, targets, p, residue=False):
+        calls.append(len(targets))
+        return sparse(row, column, targets, p, residue)
+
+    monkeypatch.setattr(fgl, "_p_integral_solvable", counting)
+    R = RingPresentation(Prime(p), params, cap)
+    v = [R.base_ring.var(t) for t in params] + [R.base_ring.one]
+    report = landweber.landweber_check(
+        R, fgl.hazewinkel_log(v, R.prime, p ** h_max + 1), h_max)
+    assert report.verdict == "exact"
+    assert [v.status for v in report.verdicts] == (
+        ["regular"] * (len(params) + 1) + ["unit"])
+    assert calls == []
