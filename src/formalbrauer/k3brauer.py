@@ -49,10 +49,16 @@ class QuarticForm:
     def __init__(self, terms, name: str = "custom"):
         clean = {}
         for e, c in terms.items():
-            e = tuple(int(k) for k in e)
-            if len(e) != 4 or any(k < 0 for k in e):
+            # arity first, so that the 4-tuple is four int calls and sign and
+            # degree are plain comparisons: one pass per term
+            if len(e) != 4:
+                raise ValueError(
+                    f"bad exponent vector {tuple(int(k) for k in e)}")
+            e0, e1, e2, e3 = int(e[0]), int(e[1]), int(e[2]), int(e[3])
+            e = (e0, e1, e2, e3)
+            if e0 < 0 or e1 < 0 or e2 < 0 or e3 < 0:
                 raise ValueError(f"bad exponent vector {e}")
-            if sum(e) != 4:
+            if e0 + e1 + e2 + e3 != 4:
                 raise ValueError(f"exponent {e} is not homogeneous of degree 4")
             c = int(c)
             if c:
@@ -67,19 +73,21 @@ class QuarticForm:
     @classmethod
     def parse(cls, text: str, name: str = "custom") -> "QuarticForm":
         terms: dict = {}
+        # splitlines breaks at \r\n and \r as well as \n, as text mode's
+        # newline translation does, so CRLF files read with the same line
+        # numbers
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            bits = raw.split("#", 1)[0].split()
+            if not bits:
                 continue
-            bits = line.split()
             if len(bits) != 5:
                 raise ValueError(
                     f"line {lineno}: expected 'e0 e1 e2 e3 coeff', got {raw!r}")
             try:
-                e = tuple(int(b) for b in bits[:4])
-                c = int(bits[4])
+                e0, e1, e2, e3, c = map(int, bits)
             except ValueError:
                 raise ValueError(f"line {lineno}: non-integer entry in {raw!r}") from None
+            e = (e0, e1, e2, e3)
             terms[e] = terms.get(e, 0) + c
         return cls(terms, name=name)
 

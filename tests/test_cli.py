@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import errno
 import io
 import json
 import os
@@ -178,14 +179,41 @@ def test_height_cell_builds_one_extractor(monkeypatch, capsys):
     assert sorted(built) == ["fermat"] * 3 + ["fermat-cross"] * 3
 
 
-def test_height_reads_quartic_file(tmp_path, capsys):
-    qf = tmp_path / "mine.quartic"
-    qf.write_text("# diagonal\n4 0 0 0 1\n0 4 0 0 1\n0 0 4 0 1\n0 0 0 4 2\n")
-    code = run(["height", "--quartic", str(qf), "--primes", "5",
-                "--format", "json", "--no-timestamp"])
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["rows"][0]["quartic"] == "mine"
+DIAG_1112 = "# diagonal\n4 0 0 0 1\n0 4 0 0 1\n0 0 4 0 1\n0 0 0 4 2\n"
+
+
+def test_height_reads_quartic_file(tmp_path, monkeypatch, capsys):
+    """CRLF and CR line endings, comments, blank lines and a duplicated term
+    give the rows of the plain LF file; the row name is Path(ref).stem."""
+    f = k3brauer.QuarticForm({(4, 0, 0, 0): 1, (0, 4, 0, 0): 1,
+                              (0, 0, 4, 0): 1, (0, 0, 0, 4): 2})
+    want = [cli._height_cell((f, p, 1)) for p in (5, 13)]
+    for r in want:
+        r.pop("quartic")
+        r["wall_ms"] = 0
+    messy = ("\n# a duplicated term\n\n4 0 0 0 1   # trailing comment\n"
+             "0 4 0 0 1\n  \n0 0 4 0 1\n0 0 0 4 1\n0 0 0 4 1\n")
+    cases = [
+        ("mine.quartic", DIAG_1112, "mine"),
+        ("crlf.quartic", DIAG_1112.replace("\n", "\r\n"), "crlf"),
+        ("cr.quartic", DIAG_1112.replace("\n", "\r"), "cr"),
+        ("messy.quartic", messy, "messy"),
+        ("messy-crlf.quartic", messy.replace("\n", "\r\n"), "messy-crlf"),
+        ("a.b.quartic", DIAG_1112, "a.b"),
+        ("./fermat", DIAG_1112, "fermat"),
+        # Path.stem keeps a last dot that ends the name or starts it
+        ("./odd.", DIAG_1112, "odd."),
+        ("./..q", DIAG_1112, "."),
+    ]
+    monkeypatch.chdir(tmp_path)
+    for ref, text, name in cases:
+        (tmp_path / ref).write_bytes(text.encode())
+        code = run(["height", "--quartic", ref, "--primes", "5,13",
+                    "--format", "json", "--no-timestamp"])
+        assert code == 0, ref
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r.pop("quartic") for r in rows] == [name, name], ref
+        assert rows == want, ref
 
 
 def test_builtin_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch,
@@ -251,10 +279,47 @@ def test_unknown_quartic_is_a_usage_error(capsys):
     assert "unknown quartic" in capsys.readouterr().err
 
 
-def test_bad_quartic_file_is_a_usage_error(tmp_path, capsys):
-    qf = tmp_path / "bad.quartic"
-    qf.write_text("4 0 0 0\n")
-    assert run(["height", "--quartic", str(qf), "--primes", "5"]) == 1
+def test_bad_quartic_file_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """A file that does not parse or decode, and a path that is no regular
+    file, exit 1 with one line; a path that is no regular file is never
+    opened (opening a FIFO would block)."""
+    def usage_error(ref, want):
+        code = run(["height", "--quartic", ref, "--primes", "5"])
+        assert capsys.readouterr() == ("", f"error: {want}\n"), ref
+        assert code == 1, ref
+
+    bad = tmp_path / "bad.quartic"
+    bad.write_text("4 0 0 0 1\r\n4 0 0 0\r\n")
+    usage_error(str(bad), "line 2: expected 'e0 e1 e2 e3 coeff', "
+                          "got '4 0 0 0'")
+    latin = tmp_path / "latin.quartic"
+    latin.write_bytes(b"# coefficient \xe9\n4 0 0 0 1\n")
+    usage_error(str(latin), f"quartic file {latin} is not UTF-8 text")
+
+    def fail(ref, *args, **kwargs):
+        raise OSError(errno.EIO, os.strerror(errno.EIO), ref)
+    monkeypatch.setattr(cli, "open", fail, raising=False)
+    usage_error(str(bad), f"cannot read quartic file {bad}: "
+                          f"{os.strerror(errno.EIO)}")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"opened {args[0]}")
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    fifo = tmp_path / "fifo.quartic"
+    os.mkfifo(fifo)
+    (tmp_path / "dir.quartic").mkdir()
+    for ref in (tmp_path / "missing.quartic", tmp_path / "dir.quartic",
+                tmp_path, fifo):
+        usage_error(str(ref), f"quartic file not found: {ref}")
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code = run(["height", "--quartic", "fermat", "--primes", "5",
+                "--format", "json", "--no-timestamp", "--out", str(out)])
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {out}: {os.strerror(errno.ENOENT)}\n")
+    assert code == 1
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

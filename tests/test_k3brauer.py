@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,15 +30,23 @@ CROSS = named_quartic("fermat-cross")
 # ---------------------------------------------------------------------------
 
 
+def exactly(message):
+    return f"^{re.escape(message)}$"
+
+
 def test_quartic_validation():
-    with pytest.raises(ValueError):
-        QuarticForm({(3, 0, 0, 0): 1})          # degree 3
-    with pytest.raises(ValueError):
-        QuarticForm({(5, -1, 0, 0): 1})         # negative exponent
-    with pytest.raises(ValueError):
-        QuarticForm({(1, 1, 1): 1})             # wrong arity
-    with pytest.raises(ValueError):
-        QuarticForm({(4, 0, 0, 0): 0})          # identically zero
+    with pytest.raises(ValueError, match=exactly(
+            "exponent (3, 0, 0, 0) is not homogeneous of degree 4")):
+        QuarticForm({(3, 0, 0, 0): 1})
+    with pytest.raises(ValueError,
+                       match=exactly("bad exponent vector (5, -1, 0, 0)")):
+        QuarticForm({(5, -1, 0, 0): 1})
+    with pytest.raises(ValueError,
+                       match=exactly("bad exponent vector (1, 1, 1)")):
+        QuarticForm({(1, 1, 1): 1})
+    with pytest.raises(ValueError,
+                       match=exactly("quartic form is identically zero")):
+        QuarticForm({(4, 0, 0, 0): 0})
     f = QuarticForm({(4, 0, 0, 0): 1, (0, 4, 0, 0): 2})
     assert f.coefficient((0, 4, 0, 0)) == 2
     assert f.coefficient((0, 0, 4, 0)) == 0
@@ -62,13 +71,40 @@ def test_parse_comments_blanks_and_accumulation():
     assert f.coefficient((0, 4, 0, 0)) == 5     # 2 + 3
 
 
+@settings(max_examples=60, deadline=None)
+@given(terms=st.dictionaries(
+           st.sampled_from(sorted(e for e in itertools.product(range(5),
+                                                               repeat=4)
+                                  if sum(e) == 4)),
+           st.integers(-10 ** 30, 10 ** 30).filter(bool), min_size=1),
+       eol=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_parse_reads_dumps_under_any_line_ending(terms, eol):
+    f = QuarticForm(terms, name="random")
+    assert QuarticForm.parse(f.dumps().replace("\n", eol), "random") == f
+
+
 def test_parse_errors():
-    with pytest.raises(ValueError, match="line 1"):
-        QuarticForm.parse("4 0 0 0")            # four columns
-    with pytest.raises(ValueError, match="non-integer"):
+    with pytest.raises(ValueError, match=exactly(
+            "line 1: expected 'e0 e1 e2 e3 coeff', got '4 0 0 0'")):
+        QuarticForm.parse("4 0 0 0")
+    with pytest.raises(ValueError, match=exactly(
+            "line 2: expected 'e0 e1 e2 e3 coeff', got '0 4 0 0  # c'")):
+        QuarticForm.parse("4 0 0 0 1\r\n0 4 0 0  # c\r\n")
+    with pytest.raises(ValueError, match=exactly(
+            "line 1: non-integer entry in '4 0 0 0 x'")):
         QuarticForm.parse("4 0 0 0 x")
-    with pytest.raises(ValueError):
-        QuarticForm.parse("3 0 0 0 1")          # inhomogeneous
+    with pytest.raises(ValueError, match=exactly(
+            "line 1: non-integer entry in '4.0 0 0 0 1'")):
+        QuarticForm.parse("4.0 0 0 0 1")
+    with pytest.raises(ValueError, match=exactly(
+            "exponent (3, 0, 0, 0) is not homogeneous of degree 4")):
+        QuarticForm.parse("3 0 0 0 1")
+    with pytest.raises(ValueError,
+                       match=exactly("bad exponent vector (5, -1, 0, 0)")):
+        QuarticForm.parse("5 -1 0 0 1")
+    with pytest.raises(ValueError,
+                       match=exactly("quartic form is identically zero")):
+        QuarticForm.parse("4 0 0 0 1\n4 0 0 0 -1\n")
 
 
 def test_diagonal_helpers():
