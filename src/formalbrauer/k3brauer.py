@@ -29,6 +29,8 @@ p-series over QQ, reduced mod p, stays as the criterion's test oracle.
 
 from __future__ import annotations
 
+from operator import index
+
 from .coefficients import QQ, Prime, TruncPoly, TruncPolyRing, multinomial, rat
 from .errors import CapTooSmall
 from .fgl import (HeightResult, Logarithm, closed_fibre_height,
@@ -49,18 +51,23 @@ class QuarticForm:
     def __init__(self, terms, name: str = "custom"):
         clean = {}
         for e, c in terms.items():
-            # arity first, so that the 4-tuple is four int calls and sign and
-            # degree are plain comparisons: one pass per term
+            # arity first, so that the 4-tuple is four index calls and sign
+            # and degree are plain comparisons: one pass per term
             if len(e) != 4:
+                raise ValueError(f"bad exponent vector {tuple(e)}")
+            # operator.index takes integers only, where int() would
+            # truncate 4.5 or Fraction(9, 2) and parse "4"
+            try:
+                e = index(e[0]), index(e[1]), index(e[2]), index(e[3])
+                c = index(c)
+            except TypeError:
                 raise ValueError(
-                    f"bad exponent vector {tuple(int(k) for k in e)}")
-            e0, e1, e2, e3 = int(e[0]), int(e[1]), int(e[2]), int(e[3])
-            e = (e0, e1, e2, e3)
+                    f"non-integer entry in term {tuple(e)}: {c!r}") from None
+            e0, e1, e2, e3 = e
             if e0 < 0 or e1 < 0 or e2 < 0 or e3 < 0:
                 raise ValueError(f"bad exponent vector {e}")
             if e0 + e1 + e2 + e3 != 4:
                 raise ValueError(f"exponent {e} is not homogeneous of degree 4")
-            c = int(c)
             if c:
                 clean[e] = c
         if not clean:

@@ -34,6 +34,7 @@ from .coefficients import QQ, Prime, TruncPoly, TruncPolyRing, val_p
 from .errors import (
     CapTooSmall,
     CertificationRefused,
+    NonIntegral,
     RingMismatch,
     SmoothnessCheckFailed,
 )
@@ -387,8 +388,12 @@ def landweber_check(R: RingPresentation, source, h_max: int
     (p, v_1, ..., v_n) and the classes of v_n modulo them are those of the
     law itself, since p-typification is a strict isomorphism. A v_n that is
     not p-integral raises NonIntegral, and so does a law given with a
-    coefficient that is not; a logarithm's denominators in other degrees
-    are not looked for.
+    coefficient that is not. A logarithm l must pass the test every
+    p-integral law over a torsion-free Z_(p)-algebra passes: l' is
+    1/(dF/dY)(T, 0), so m * l_m is p-integral for every m through the
+    window; NonIntegral names the first degree that fails. The test is
+    necessary only: a logarithm that passes it may still have a law that is
+    not p-integral.
     """
     p = R.prime
     if h_max < 1:
@@ -414,8 +419,27 @@ def landweber_check(R: RingPresentation, source, h_max: int
     window = p.p ** h_max + 1
     if source.cap < window:
         raise CapTooSmall(f"logarithm cap {source.cap} < window {window}")
+    if isinstance(source, Logarithm):
+        _check_differential(source.series, p, window)
     ells = (ell(p.p ** n) for n in range(1, h_max + 1))
     return _exactness_report(R, ring, *closed_fibre_height(ells, p, h_max))
+
+
+def _check_differential(l, p: Prime, through: int):
+    """Raise NonIntegral at the first degree m <= through at which m * l_m,
+    a coefficient of l', is not p-integral."""
+    q = p.p
+    for (m,) in sorted(l.coeffs):
+        if m > through:
+            return
+        c = l.coeffs[(m,)]
+        if not all((x * m).denominator % q
+                   for x in (c.terms.values() if isinstance(c, TruncPoly)
+                             else (c,))):
+            raise NonIntegral(
+                f"{m} times the logarithm's coefficient at T^{m} is not "
+                f"{q}-integral ({c}), so no {q}-integral law has this "
+                f"logarithm", degree=m, value=c)
 
 
 def _exactness_report(R: RingPresentation, ring, h, vs) -> LandweberReport:

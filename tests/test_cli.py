@@ -6,20 +6,23 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from formalbrauer import __version__, acceptance, cli, k3brauer
 from formalbrauer.errors import NonIntegral
 from formalbrauer.k3brauer import beta_coefficient, named_quartic
 
-GOLDEN_PATH = Path(__file__).parent / "golden" / "rational_fermat.json"
-HEIGHT_GRID_PATH = Path(__file__).parent / "golden" / "height_grid.json"
-LANDWEBER_PATH = Path(__file__).parent / "golden" / "landweber_reports.json"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_PATH = GOLDEN_DIR / "rational_fermat.json"
+HEIGHT_GRID_PATH = GOLDEN_DIR / "height_grid.json"
+LANDWEBER_PATH = GOLDEN_DIR / "landweber_reports.json"
 
 
 def run(argv):
@@ -322,6 +325,34 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv,work", [
+    (["height", "--quartic", "fermat", "--primes", "5"],
+     ["brauer_generators"]),
+    (["landweber", "--scenario", "torsion"],
+     ["builtin_scenario", "landweber_check"]),
+    (["landweber", "--ring", "zp", "--law", "additive"],
+     ["standard_law", "landweber_check"]),
+    (["certify", "--quartic", "fermat", "--ring", "zp", "--p", "5"],
+     ["certify_k3_spectrum"]),
+    (["certify", "--quartic", "fermat", "--rational"],
+     ["rational_certificate"]),
+], ids=["height", "landweber-scenario", "landweber-law", "certify-zp",
+        "certify-rational"])
+def test_out_in_a_missing_directory_is_refused_before_any_work(
+        argv, work, tmp_path, monkeypatch, capsys):
+    def compute(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+    for name in work:
+        monkeypatch.setattr(cli, name, compute)
+    (tmp_path / "file").write_text("")
+    for out, reason in ((tmp_path / "missing" / "x.json", errno.ENOENT),
+                        (tmp_path / "file" / "x.json", errno.ENOTDIR)):
+        code = run(argv + ["--out", str(out)])
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {out}: {os.strerror(reason)}\n")
+        assert code == 1
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_a_usage_error(jobs, capsys):
     code = run(["height", "--quartic", "fermat", "--primes", "5",
@@ -615,6 +646,111 @@ def test_reused_parser_carries_nothing_from_one_call_to_the_next(capsys):
         run(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr() == (f"formalbrauer {__version__}\n", "")
+
+
+# ---------------------------------------------------------------------------
+# dispatch straight to the subcommand's parser
+# ---------------------------------------------------------------------------
+
+
+# valid calls, usage errors argparse reports, usage errors the handlers
+# report, help, version, and argv that name no command
+PARITY = [
+    ["height", "--quartic", "fermat", "--primes", "5,13", "--format", "json",
+     "--no-timestamp"],
+    ["height", "--quart", "fermat-cross", "--primes=3", "--hmax", "2",
+     "--no-time"],
+    ["landweber", "--scenario", "torsion", "--p", "5", "--format", "json",
+     "--no-timestamp"],
+    ["landweber", "--ring", "zp", "--law", "additive", "--format", "csv",
+     "--no-timestamp"],
+    ["certify", "--quartic", "fermat", "--ring", "zp", "--p", "5",
+     "--no-timestamp"],
+    ["certify", "--quartic", "fermat", "--ring", "zp", "--p", "3",
+     "--no-timestamp"],
+    ["selftest", "--only", "fermat-dichotomy", "--only", "point-count"],
+    ["height", "--primes", "5"],
+    ["certify", "--quartic"],
+    ["height", "--quartic", "fermat", "--primes", "5", "--format", "yaml"],
+    ["landweber", "--p", "x"],
+    ["height", "--quartic", "fermat", "--primes", "5", "--jobs", "1.5"],
+    ["height", "--quartic", "fermat", "--primes", "5", "--bogus", "x"],
+    ["certify", "--quartic", "fermat", "--rational", "extra", "--", "-x"],
+    ["selftest", "--only"],
+    ["landweber", "--scenario", "torsion", "--law", "additive"],
+    ["height", "--quartic", "fermat", "--primes", "4"],
+    ["height", "--help"],
+    ["certify", "-h", "--bogus"],
+    ["--version"],
+    ["--help"],
+    [],
+    ["bogus-command"],
+    ["--quartic", "fermat", "height"],
+    ["--version", "height"],
+    ["HEIGHT", "--quartic", "fermat", "--primes", "5"],
+]
+
+
+def cli_outcome(argv, capsys):
+    """(exit code or SystemExit code, stdout, stderr) of main(argv), with
+    selftest's check times blanked."""
+    try:
+        code = run(list(argv))
+    except SystemExit as exc:
+        code = f"SystemExit({exc.code})"
+    out, err = capsys.readouterr()
+    return code, re.sub(r"\(\d+\.\d+s\)", "(-)", out), err
+
+
+@pytest.mark.parametrize("argv", PARITY,
+                         ids=lambda argv: " ".join(argv) or "(none)")
+def test_dispatch_matches_the_full_parse(argv, monkeypatch, capsys):
+    # without `commands` to look the name up in, main sends every argv
+    # through the root parser's parse_args and on to the handler
+    seen = []
+    for name in ("cmd_height", "cmd_landweber", "cmd_certify",
+                 "cmd_selftest"):
+        def recording(ns, handler=getattr(cli, name)):
+            seen.append(dict(vars(ns)))
+            return handler(ns)
+        monkeypatch.setattr(cli, name, recording)
+    direct = cli_outcome(argv, capsys)
+    monkeypatch.setattr(cli._build_parser(), "commands", {})
+    assert cli_outcome(argv, capsys) == direct
+    assert len(seen) in (0, 2) and seen[:1] == seen[1:]
+
+
+JSON_KEYS = st.text() | st.integers() | st.sampled_from(
+    ["\u00e9", "\x00", "\x1f", "\x7f", '"', "\\", "\u2028", "\U0001f4a1"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(-(10 ** 80), 10 ** 80) | st.floats()
+    | st.sampled_from([-0.0, 1e300, -1e-300]) | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(JSON_KEYS, inner)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_is_indent_2_dumps(x):
+    assert cli._json(x) == json.dumps(x, indent=2)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.json")),
+                         ids=lambda path: path.name)
+def test_json_writer_is_indent_2_dumps_on_goldens(path):
+    doc = json.loads(path.read_text())
+    assert cli._json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("x", [{(1, 2): 3}, [{"a": object()}], {1j: 0},
+                               [float("nan"), {"x": set()}]])
+def test_json_writer_raises_as_dumps_does(x):
+    with pytest.raises(TypeError) as want:
+        json.dumps(x, indent=2)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+        cli._json(x)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -50,6 +51,30 @@ def test_quartic_validation():
     f = QuarticForm({(4, 0, 0, 0): 1, (0, 4, 0, 0): 2})
     assert f.coefficient((0, 4, 0, 0)) == 2
     assert f.coefficient((0, 0, 4, 0)) == 0
+
+
+@pytest.mark.parametrize("terms,message", [
+    ({(4.5, -0.5, 0, 0): 1.9},
+     "non-integer entry in term (4.5, -0.5, 0, 0): 1.9"),
+    ({(4, 0, 0, 0): 1.9}, "non-integer entry in term (4, 0, 0, 0): 1.9"),
+    ({(4, 0, 0, 0): Fraction(2)},
+     "non-integer entry in term (4, 0, 0, 0): Fraction(2, 1)"),
+    ({("4", 0, 0, 0): 1}, "non-integer entry in term ('4', 0, 0, 0): 1"),
+    ({(4.0, 0, 0): 1}, "bad exponent vector (4.0, 0, 0)"),
+])
+def test_quartic_refuses_what_int_would_truncate(terms, message):
+    with pytest.raises(ValueError, match=exactly(message)):
+        QuarticForm(terms)
+
+
+def test_quartic_takes_integer_subclasses_as_plain_ints():
+    class Exponent(int):
+        pass
+
+    f = QuarticForm({(Exponent(4), 0, 0, 0): Exponent(3), (0, 4, 0, 0): 1})
+    assert f.terms == {(4, 0, 0, 0): 3, (0, 4, 0, 0): 1}
+    assert all(type(k) is int for e in f.terms for k in e)
+    assert all(type(c) is int for c in f.terms.values())
 
 
 def test_parse_dumps_roundtrip():

@@ -12,10 +12,12 @@ from formalbrauer import __version__, landweber
 from formalbrauer.coefficients import QQ, Prime, TruncPolyRing, rat
 from formalbrauer.errors import (
     CertificationRefused,
+    NonIntegral,
     RingMismatch,
     SmoothnessCheckFailed,
 )
 from formalbrauer.fgl import (
+    Logarithm,
     fgl_from_log,
     hazewinkel_log,
     ideal_contains,
@@ -530,6 +532,34 @@ def test_additive_law_is_inconclusive_candidate_supersingular():
     assert report.verdict == "inconclusive"
     assert "candidate supersingular" in report.reason
     assert report.closed_fibre_height.kind == "at_least"
+
+
+def test_a_logarithm_with_no_integral_law_is_refused():
+    # l = T + T^2/3 has l' = 1 + (2/3) T, which no 3-integral law's
+    # 1/(dF/dY)(T, 0) is: the report would read "candidate supersingular"
+    log = Logarithm(Series.univariate(QQ, 10, {1: 1, 2: rat(1, 3)}))
+    with pytest.raises(NonIntegral) as exc:
+        landweber_check(zp_presentation(3), log, 2)
+    assert exc.value.degree == 2
+    assert str(exc.value).startswith(
+        "2 times the logarithm's coefficient at T^2 is not 3-integral")
+    # 3 * T^3/3 and 9 * T^9/9 are integral; T^11/9 lies past the window 10
+    fine = Logarithm(Series.univariate(
+        QQ, 11, {1: 1, 3: rat(1, 3), 9: rat(1, 9), 11: rat(1, 9)}))
+    landweber_check(zp_presentation(3), fine, 2)
+
+
+def test_a_logarithm_over_parameters_is_checked_termwise():
+    R = RingPresentation(Prime(3), ("t",), 6, ())
+    t = R.base_ring.var("t")
+    log = hazewinkel_log([t, R.base_ring.one], Prime(3), 10)
+    assert landweber_check(R, log, 2).verdict == "exact"
+    bad = log.series.coeffs[(9,)] + t * rat(1, 27)
+    coeffs = {**log.series.coeffs, (9,): bad}
+    with pytest.raises(NonIntegral) as exc:
+        landweber_check(R, Logarithm(Series(R.base_ring, ("T",), 10,
+                                            coeffs)), 2)
+    assert exc.value.degree == 9
 
 
 def test_landweber_check_ring_matching_is_strict():
