@@ -449,6 +449,10 @@ class TruncPolyRing:
         c0 = a.constant_term()
         if not c0:
             raise NotAUnit("constant term is 0; not a unit in the truncated ring")
+        if len(a.terms) == 1:
+            # a constant, such as the slope's leading coefficient in every
+            # Newton step of Series.solve: the series below stops at once
+            return _const_like(a, 1 / c0)
         n = (a * rat(1, 1) - _const_like(a, c0)) * (-1 / c0)  # a = c0*(1 - n)
         out = self.one
         term = self.one

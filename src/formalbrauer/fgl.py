@@ -358,6 +358,10 @@ def _p_integral_solvable(row, column, targets, p: int, residue=False) -> list:
             for k, b in enumerate(targets)}
     rows: dict = {}      # built rows, each {column: entry}; None once pivoted
     col_rows: dict = {}  # column -> built rows in play that hold it
+    row_targets: dict = {}  # row -> targets that hold it (some since decided)
+    for k, b in live.items():
+        for i in b:
+            row_targets.setdefault(i, set()).add(k)
 
     def build(i):
         r = row(i)
@@ -387,15 +391,16 @@ def _p_integral_solvable(row, column, targets, p: int, residue=False) -> list:
             col_rows[j].discard(pi)
         piv = prow[pj]
         carried = []
-        for k, b in list(live.items()):
-            bp = b.pop(pi, None)
-            if bp is None:
+        for k in row_targets.pop(pi, ()):
+            b = live.get(k)
+            if b is None:
                 continue
+            bp = b.pop(pi)
             if val_p(bp, p) < vpiv:
                 answers[k] = False
                 del live[k]
             else:
-                carried.append((b, bp))
+                carried.append((k, b, bp))
         for i in column(pj):
             if i not in rows:
                 build(i)
@@ -410,12 +415,13 @@ def _p_integral_solvable(row, column, targets, p: int, residue=False) -> list:
                 else:
                     del r[j]
                     col_rows[j].discard(i)
-            for b, bp in carried:
+            for k, b, bp in carried:
                 nb = red(b.get(i, 0) - f * bp)
                 if nb:
                     b[i] = nb
-                else:
-                    b.pop(i, None)
+                    row_targets.setdefault(i, set()).add(k)
+                elif b.pop(i, None) is not None:
+                    row_targets[i].discard(k)
     return answers
 
 

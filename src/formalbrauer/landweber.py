@@ -391,8 +391,12 @@ def landweber_check(R: RingPresentation, source, h_max: int
     coefficient that is not. A logarithm l must pass the test every
     p-integral law over a torsion-free Z_(p)-algebra passes: l' is
     1/(dF/dY)(T, 0), so m * l_m is p-integral for every m through the
-    window; NonIntegral names the first degree that fails. The test is
-    necessary only: a logarithm that passes it may still have a law that is
+    window; NonIntegral names the first degree that fails. That test is
+    necessary only, so over a parameter-free presentation, once the v_n are
+    read, the logarithm's law is built through min(LAW_CAP, p^h_max + 1), as
+    certify builds it, and a coefficient that is not p-integral raises
+    NonIntegral. Over a presentation with parameters the law is not built:
+    a logarithm that passes the m * l_m test may still have a law that is
     not p-integral.
     """
     p = R.prime
@@ -422,7 +426,10 @@ def landweber_check(R: RingPresentation, source, h_max: int
     if isinstance(source, Logarithm):
         _check_differential(source.series, p, window)
     ells = (ell(p.p ** n) for n in range(1, h_max + 1))
-    return _exactness_report(R, ring, *closed_fibre_height(ells, p, h_max))
+    h, vs = closed_fibre_height(ells, p, h_max)
+    if isinstance(source, Logarithm) and not R.parameters:
+        fgl_from_log(source, min(LAW_CAP, window), integral_at=p)
+    return _exactness_report(R, ring, h, vs)
 
 
 def _check_differential(l, p: Prime, through: int):

@@ -23,6 +23,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_PATH = GOLDEN_DIR / "rational_fermat.json"
 HEIGHT_GRID_PATH = GOLDEN_DIR / "height_grid.json"
 LANDWEBER_PATH = GOLDEN_DIR / "landweber_reports.json"
+ZP_CERTIFICATES_PATH = GOLDEN_DIR / "zp_certificates.json"
 
 
 def run(argv):
@@ -492,6 +493,19 @@ def test_certify_p_local_exact(capsys):
     assert doc["kind"] == "p-local"
     assert doc["report"]["verdict"] == "exact"
     assert "generated_at" not in doc
+
+
+@pytest.mark.parametrize(
+    "case", json.loads(ZP_CERTIFICATES_PATH.read_text()),
+    ids=lambda case: f"{case['quartic']}-p{case['p']}")
+def test_certify_p_local_matches_golden(case, capsys):
+    # p-local certificates frozen before compose over QQ ran on integer
+    # numerators: the law's coefficients, byte for byte
+    code = run(["certify", "--quartic", case["quartic"], "--ring", "zp",
+                "--p", str(case["p"]), "--no-timestamp"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(case["certificate"], indent=2) + "\n"
 
 
 def test_certify_timestamp_by_default(capsys):

@@ -190,6 +190,12 @@ def test_truncpoly_inversion_is_geometric():
     assert ((R.one - t) * inv).constant_term() == rat(1)
     with pytest.raises(NotAUnit):
         R.invert(t)
+    # a constant inverts to its inverse, untruncated, even when it carries
+    # the flag, as the geometric series (which stops at once) gave it
+    for c in (R.from_rat(rat(-3, 7)), (t ** 4 * t) + rat(2, 5)):
+        inv = R.invert(c)
+        assert inv == 1 / c.constant_term() and not inv.truncated
+    assert ((t ** 4 * t) + rat(2, 5)).truncated
 
 
 def test_truncpoly_ring_coerce_and_monomial():

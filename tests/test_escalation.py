@@ -196,7 +196,7 @@ def test_law_with_a_denominator_off_the_degrees_p_n_raises():
 def test_denominator_above_the_deciding_window_is_not_looked_for():
     # log(1 + T) + T^9/9: the first window decides Finite(1) at degree 3;
     # the 1/3 in degree 9 lies above it and only the full window meets it.
-    # The report stops at v_1 = 3 * (1/3), a unit, and never reads T^9.
+    # The height stops at v_1 = 3 * (1/3), a unit, and never reads T^9.
     coeffs = {d: rat((-1) ** (d + 1), d) for d in range(1, 11)}
     coeffs[9] += rat(1, 9)
     log = _log(coeffs, 10)
@@ -205,6 +205,8 @@ def test_denominator_above_the_deciding_window_is_not_looked_for():
     ps, h = escalating_height(log, Prime(3), 2, 10)
     assert ps.cap == 4
     assert (h.kind, h.value, h.first_nonzero_degree) == ("finite", 1, 3)
-    report = landweber_check(zp_presentation(3), log, 2)
-    assert report.closed_fibre_height == h
-    assert report.verdict == "exact"
+    # 9 * (2/9) passes the m * l_m test, but the law has -28/3 at X^3 Y^6,
+    # and the report builds the law through the window before it answers
+    with pytest.raises(NonIntegral) as exc:
+        landweber_check(zp_presentation(3), log, 2)
+    assert (exc.value.degree, exc.value.value) == ((3, 6), rat(-28, 3))

@@ -549,6 +549,21 @@ def test_a_logarithm_with_no_integral_law_is_refused():
     landweber_check(zp_presentation(3), fine, 2)
 
 
+def test_a_logarithm_whose_law_is_not_integral_is_refused():
+    # l = T + T^3/3 passes the m * l_m test at p = 3 (3 * 1/3 = 1), yet its
+    # law has 109/3 at X^3 Y^6; the report used to call it exact
+    log = Logarithm(Series.univariate(QQ, 10, {1: 1, 3: rat(1, 3)}))
+    with pytest.raises(NonIntegral) as exc:
+        landweber_check(zp_presentation(3), log, 2)
+    assert (exc.value.degree, exc.value.value) == ((3, 6), rat(109, 3))
+    with pytest.raises(NonIntegral):
+        fgl_from_log(log, 10, integral_at=Prime(3))
+    # h_max 1: the window 4 holds no bad coefficient of the law, which is
+    # built through degree 4 only
+    assert landweber_check(zp_presentation(3), log.truncate(4), 1
+                           ).verdict == "exact"
+
+
 def test_a_logarithm_over_parameters_is_checked_termwise():
     R = RingPresentation(Prime(3), ("t",), 6, ())
     t = R.base_ring.var("t")

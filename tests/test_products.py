@@ -7,9 +7,13 @@ checked against, terms and `truncated` flag alike. Two more routes the
 package replaced live here as oracles: QQ.dot once summed a running
 `Fraction` (`_running_fraction_sum`), and Series.subst was a nested Horner
 scheme that re-multiplied by each replacement per group (`_horner_subst`).
+Series.compose over QQ runs on integer numerators; it is checked against
+the ring.dot route (`Series._power_sum`, which Q[t] still takes) and
+`_horner_subst`.
 """
 
 import functools
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -27,6 +31,7 @@ from formalbrauer.coefficients import (
 )
 from formalbrauer.errors import CapTooSmall, RingMismatch
 from formalbrauer.fgl import hazewinkel_log, p_series
+from formalbrauer import series
 from formalbrauer.series import Series
 
 GOLDEN = Path(__file__).parent / "golden" / "hazewinkel_p_series.json"
@@ -269,50 +274,162 @@ def test_hazewinkel_p_series_matches_frozen_coefficients_and_flags(case):
 # ---------------------------------------------------------------------------
 
 
-def _counting_muls(monkeypatch, fn, *args):
-    """fn(*args) and the number of Series.mul calls it made."""
+def _counting(monkeypatch, owner, name, fn, *args):
+    """fn(*args) and the number of calls it made to owner.name."""
     calls = []
-    mul = Series.mul
+    inner = getattr(owner, name)
 
-    def counting_mul(self, other):
+    def counting(*a):
         calls.append(1)
-        return mul(self, other)
+        return inner(*a)
 
-    monkeypatch.setattr(Series, "mul", counting_mul)
+    monkeypatch.setattr(owner, name, counting)
     try:
         return fn(*args), len(calls)
     finally:
-        monkeypatch.setattr(Series, "mul", mul)
+        monkeypatch.setattr(owner, name, inner)
+
+
+def _counting_muls(monkeypatch, fn, *args):
+    """fn(*args) and the number of Series.mul calls it made."""
+    return _counting(monkeypatch, Series, "mul", fn, *args)
+
+
+def _counting_products(monkeypatch, fn, *args):
+    """fn(*args) and the number of integer-numerator products it made, the
+    kernel that builds the powers of a composition over QQ."""
+    return _counting(monkeypatch, series, "_packed_mul", fn, *args)
+
+
+def _gapped_outers(ring, cap):
+    """Outer series with the degrees 3^i (the law check's logarithm shape)
+    and 3^i - 1 (the slope compose of Series.solve)."""
+    return (Series.univariate(ring, cap, {3 ** i: rat(1, 3 ** i)
+                                          for i in range(5)}),
+            Series.univariate(ring, cap, {3 ** i - 1: rat(1, 3 ** i)
+                                          for i in range(5)}))
 
 
 def test_compose_reuses_running_powers(monkeypatch):
     cap = 82
-    outer = Series.univariate(QQ, cap, {3 ** i: rat(1, 3 ** i)
-                                        for i in range(5)})
+    outer, _ = _gapped_outers(QQ, cap)
     inner = Series.univariate(QQ, cap, {1: 1, 2: rat(1, 3), 5: -2})
     want = _horner_subst(outer, [inner])    # Horner: one mul per degree
-    got, muls = _counting_muls(monkeypatch, outer.compose, inner)
-    assert muls <= 8
+    got, products = _counting_products(monkeypatch, outer.compose, inner)
+    assert 0 < products <= 8
     assert got == want
 
 
 def test_compose_builds_a_power_from_the_one_below(monkeypatch):
     # the slope compose of Series.solve at cap 82: derivative exponents
     # 0, 2, 8, 26, 80, so gaps 2, 6, 18, 54. x^3, x^9 and x^27 each take one
-    # mul from x^2, x^8 and x^26 in the memo, and the gaps cost 1, 3, 3, 3
-    # muls; halving x^3, x^9 and x^27 down again took 16
+    # product from x^2, x^8 and x^26 in the memo, and the gaps cost 1, 3, 3,
+    # 3 products; halving x^3, x^9 and x^27 down again took 16
     cap = 82
-    outer = Series.univariate(QQ, cap, {3 ** i - 1: rat(1, 3 ** i)
-                                        for i in range(5)})
+    _, outer = _gapped_outers(QQ, cap)
     inner = Series.univariate(QQ, cap, {1: 1, 2: rat(1, 3), 5: -2})
     want = _horner_subst(outer, [inner])
-    got, muls = _counting_muls(monkeypatch, outer.compose, inner)
-    assert muls <= 10
+    got, products = _counting_products(monkeypatch, outer.compose, inner)
+    assert 0 < products <= 10
     assert got == want
-    # subst builds its powers the same way
+    # subst builds its powers the same way, with Series.mul
     got, muls = _counting_muls(monkeypatch, outer.subst, [inner])
     assert muls <= 10
     assert got == want
+
+
+def test_compose_over_parameters_builds_powers_with_series_mul(monkeypatch):
+    # over Q[t] compose stays on the ring.dot route, with the same schedule
+    R = TruncPolyRing(("t",), 2)
+    t = R.var("t")
+    cap = 82
+    inner = Series.univariate(R, cap, {1: 1, 2: t * rat(1, 3), 5: t - 2})
+    for outer, bound in zip(_gapped_outers(R, cap), (8, 10)):
+        want = _horner_subst(outer, [inner])
+        got, products = _counting_products(monkeypatch, outer.compose, inner)
+        assert products == 0
+        got, muls = _counting_muls(monkeypatch, outer.compose, inner)
+        assert muls <= bound
+        assert got == want
+
+
+# ---------------------------------------------------------------------------
+# compose over QQ against the ring.dot route and the Horner route
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _rational_compose_cases(draw):
+    """(outer, inner) over QQ: a univariate or bivariate inner series, sparse
+    or with every monomial of degree 1 through its cap, whose cap may lie
+    above the outer cap; an outer series, sparse or dense, that may have a
+    constant term. Coefficients may be 0 and have denominators up to
+    p^30."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    coeff = st.one_of(
+        st.just(rat(0)),
+        st.builds(rat, st.integers(min_value=-9, max_value=9),
+                  st.sampled_from([1, 2, p])),
+        st.builds(rat, st.integers(min_value=-10**6, max_value=10**6),
+                  st.builds(lambda k, u: p ** k * u,
+                            st.integers(min_value=0, max_value=30),
+                            st.sampled_from([1, 2, 4, 6]))))
+    nvars = draw(st.integers(min_value=1, max_value=2))
+    ocap = draw(st.integers(min_value=1, max_value=8 if nvars == 1 else 5))
+    icap = draw(st.integers(min_value=1, max_value=ocap + 2))
+    monomials = [e for e in itertools.product(range(icap + 1), repeat=nvars)
+                 if 1 <= sum(e) <= icap]
+    if draw(st.booleans()):
+        support = monomials
+    else:
+        support = draw(st.lists(st.sampled_from(monomials), max_size=4))
+    inner = Series(QQ, ("X", "Y")[:nvars], icap,
+                   {e: draw(coeff) for e in support})
+    degrees = (range(ocap + 1) if draw(st.booleans()) else
+               draw(st.lists(st.integers(min_value=0, max_value=ocap),
+                             max_size=4)))
+    outer = Series.univariate(QQ, ocap, {d: draw(coeff) for d in degrees})
+    return outer, inner
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_compose_cases())
+def test_rational_compose_matches_ring_dot_and_horner(case):
+    outer, inner = case
+    got = outer.compose(inner)
+    cut = inner.truncate(min(inner.cap, outer.cap))
+    via_dot = cut._power_sum({d: c for (d,), c in outer.coeffs.items()
+                              if d <= cut.cap}, {1: cut})
+    via_horner = _horner_subst(outer.truncate(cut.cap), [cut])
+    assert (got.vars, got.cap) == (cut.vars, cut.cap)
+    assert got.coeffs == via_dot.coeffs == via_horner.coeffs
+    for c in got.coeffs.values():
+        assert type(c) is Fraction and c
+        assert math.gcd(c.numerator, c.denominator) == 1
+
+
+def test_rational_compose_frozen_cases():
+    x = Series.variable(QQ, 4, "X", ("X", "Y"))
+    y = Series.variable(QQ, 4, "Y", ("X", "Y"))
+    log1p = Series.univariate(QQ, 4, {d: rat((-1) ** (d + 1), d)
+                                      for d in range(1, 5)})
+    # log(1 + X + Y + XY) = log(1 + X) + log(1 + Y)
+    got = log1p.compose(x.add(y).add(x.mul(y)))
+    assert got.coeffs == {(d, 0): c for (d,), c in log1p.coeffs.items()} | {
+        (0, d): c for (d,), c in log1p.coeffs.items()}
+    # a constant passes through, a zero inner leaves only it
+    outer = Series.univariate(QQ, 4, {0: rat(2, 3), 2: 1})
+    assert outer.compose(Series.zero(QQ, 4, ("X", "Y"))).coeffs == {
+        (0, 0): rat(2, 3)}
+    # large denominators come out in lowest terms
+    inner = Series.univariate(QQ, 4, {1: rat(1, 3 ** 40), 2: 1})
+    sq = Series.univariate(QQ, 4, {2: 1})
+    assert sq.compose(inner).coeffs == {(2,): rat(1, 3 ** 80),
+                                        (3,): rat(2, 3 ** 40), (4,): rat(1)}
+    # a coefficient that cancels is not stored: T - T^2 at T + T^2 is T
+    outer = Series.univariate(QQ, 2, {1: 1, 2: -1})
+    assert outer.compose(Series.univariate(QQ, 2, {1: 1, 2: 1})).coeffs == {
+        (1,): rat(1)}
 
 
 # ---------------------------------------------------------------------------
