@@ -8,7 +8,6 @@ from .coefficients import QQ, Prime, rat
 from .errors import (
     CapTooSmall,
     CertificationRefused,
-    DivisionFailure,
     FormalBrauerError,
     NonIntegral,
     NotAUnit,
@@ -39,7 +38,6 @@ from .k3brauer import (
     beta_coefficient,
     brauer_height,
     named_quartic,
-    ordinarity_criterion,
     smooth_check_fp,
     stienstra_log,
 )
@@ -56,8 +54,8 @@ from .landweber import (
 __all__ = [
     "__version__",
     "QQ", "Prime", "rat",
-    "FormalBrauerError", "NonIntegral", "DivisionFailure", "NotAUnit",
-    "RingMismatch", "CapTooSmall", "SingularCurve",
+    "FormalBrauerError", "NonIntegral", "NotAUnit", "RingMismatch",
+    "CapTooSmall", "SingularCurve",
     "SmoothnessCheckFailed", "CertificationRefused",
     "Logarithm", "FormalGroupLaw", "PSeries", "HeightResult",
     "standard_law", "fgl_from_log", "log_from_fgl", "p_series",
@@ -65,8 +63,7 @@ __all__ = [
     "hazewinkel_generators",
     "elliptic_log", "count_points", "elliptic_ss_oracle",
     "QuarticForm", "BUILTIN_QUARTICS", "named_quartic", "beta_coefficient",
-    "stienstra_log", "brauer_height", "ordinarity_criterion",
-    "smooth_check_fp",
+    "stienstra_log", "brauer_height", "smooth_check_fp",
     "RingPresentation", "zp_presentation", "check_regular_sequence",
     "landweber_check", "certify_k3_spectrum", "rational_certificate",
     "builtin_scenario",

@@ -10,11 +10,12 @@ Everything is exact, so no floating point appears anywhere. p-locality is
 not a ring of its own: downstream code reads p-integrality and units at the
 closed point of Z_(p)[t_1..t_k] off these exact coefficients.
 
-A coefficient ring is a plain object with the small method set the series
-layer calls: zero/one/from_int/coerce, is_zero/eq, dot, div_int,
-is_unit/invert. Elements themselves carry the arithmetic operators
-(rationals and TruncPoly natively), so generic code does its arithmetic
-infix.
+A coefficient ring is a plain object that builds elements (zero, one and
+coerce; TruncPolyRing also var and monomial) and runs the two operations
+that need the ring, dot and invert; invert raises NotAUnit on a non-unit.
+Elements answer everything else themselves, rationals and TruncPoly alike:
+arithmetic is infix, a zero test is `not c`, equality with an integer is
+`c == n`, and division by an integer n is `c * rat(1, n)`.
 
 dot(pairs) is the sum of a*b over an iterable of (a, b) pairs, the inner
 loop of a series product. Each ring sums in its own way: rationals as one
@@ -32,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add
 
-from .errors import DivisionFailure, NotAUnit, RingMismatch
+from .errors import NotAUnit, RingMismatch
 
 # exact rational from ints, a rational, or a 'num/den' string
 rat = Fraction
@@ -129,21 +130,12 @@ class RationalField:
     def __hash__(self):
         return hash("RationalField")
 
-    def from_int(self, n):
-        return rat(n)
-
     def coerce(self, x):
         if isinstance(x, int):
             return rat(x)
         if isinstance(x, Fraction):
             return x
         raise RingMismatch(f"cannot coerce {x!r} into QQ")
-
-    def is_zero(self, a):
-        return not a
-
-    def eq(self, a, b):
-        return a == b
 
     def dot(self, pairs):
         """The sum of a*b over pairs of ints or rationals, as one canonical
@@ -162,14 +154,6 @@ class RationalField:
                 den *= d // g
             num += n
         return Fraction(num, den)
-
-    def div_int(self, a, n: int):
-        if n == 0:
-            raise DivisionFailure("division by zero")
-        return a / n
-
-    def is_unit(self, a):
-        return bool(a)
 
     def invert(self, a):
         if not a:
@@ -394,14 +378,7 @@ class TruncPolyRing:
 
     @property
     def one(self):
-        return self.from_int(1)
-
-    def from_int(self, n):
-        return TruncPoly(self.variables, self.cap,
-                         {(0,) * len(self.variables): rat(n)})
-
-    def from_rat(self, q):
-        return _const_like(self.zero, q)
+        return self.coerce(1)
 
     def var(self, name: str):
         if name not in self.variables:
@@ -422,25 +399,11 @@ class TruncPolyRing:
                 raise RingMismatch(f"{x.vars}/{x.cap} vs {self}")
             return x
         if isinstance(x, _SCALARS):
-            return self.from_rat(x)
+            return _const_like(self.zero, x)
         raise RingMismatch(f"cannot coerce {x!r} into {self}")
-
-    def is_zero(self, a):
-        return not a.terms
-
-    def eq(self, a, b):
-        return self.coerce(a) == self.coerce(b)
 
     def dot(self, pairs):
         return _dot(self.variables, self.cap, pairs)
-
-    def div_int(self, a, n: int):
-        if n == 0:
-            raise DivisionFailure("division by zero")
-        return a * rat(1, n)
-
-    def is_unit(self, a):
-        return bool(a.constant_term())
 
     def invert(self, a):
         """Inverse when the constant term is nonzero: geometric series in the

@@ -18,10 +18,6 @@ class NonIntegral(FormalBrauerError):
         self.value = value
 
 
-class DivisionFailure(FormalBrauerError):
-    """Exact division required but the divisor is not invertible."""
-
-
 class NotAUnit(FormalBrauerError):
     """Multiplicative inverse requested for a non-unit."""
 

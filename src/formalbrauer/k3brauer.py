@@ -11,9 +11,11 @@ beta_m comes from BetaExtractor, which enumerates the multiplicities of the
 monomials of f that reach (T0 T1 T2 T3)^(m-1) and solves for the last four by
 one 4x4 integer system; for a diagonal quartic that is one lattice point,
 (m-1)/4 each, when 4 divides m - 1. The corridor pass power_diagonal expands
-f^j for every j < m at once; it serves stienstra_log on nondiagonal quartics,
-and beta_coefficient falls back to it when its counted cost is lower (dense
-quartics, exponent vectors of rank < 4).
+f^j for every j < m at once; BetaExtractor.route takes it where its counted
+cost is lower (dense quartics, exponent vectors of rank < 4), for a single
+beta and for a whole logarithm alike: stienstra_log makes one corridor pass
+when the route at its cap is the corridor, and extracts each beta on its own
+otherwise.
 
 Everything downstream reads the betas extracted here. A height is the
 least n whose Hazewinkel generator v_n, read off the logarithm's
@@ -399,27 +401,25 @@ class BrauerLog:
 
 
 def stienstra_log(f: QuarticForm, cap: int) -> BrauerLog:
-    """Logarithm of the formal Brauer group of f, truncated at `cap`. A
-    diagonal quartic takes every beta from one BetaExtractor, where each is
-    a single lattice point or none; any other quartic takes one corridor
-    pass (power_diagonal), which serves every degree at once and keeps the
-    QQ route that tests the height criterion independent of the
-    extractor."""
+    """Logarithm of the formal Brauer group of f, truncated at `cap`. When
+    BetaExtractor's counted cost at the cap favours the corridor, one
+    power_diagonal pass serves every degree at once; otherwise each beta is
+    extracted on its own, by the route its own cost picks."""
     if cap < 1:
         raise CapTooSmall("logarithm needs cap >= 1")
-    if f.is_diagonal():
-        ms = range(1, cap + 1)
-        betas = dict(zip(ms, beta_coefficients(f, ms)))
+    ex = BetaExtractor(f)
+    ms = range(1, cap + 1)
+    if ex.route(cap) == "corridor":
+        betas = zip(ms, power_diagonal(f, cap - 1))
     else:
-        diag = power_diagonal(f, cap - 1)
-        betas = {m: diag[m - 1] for m in range(1, cap + 1)}
-    betas = {m: b for m, b in betas.items() if b}
+        betas = zip(ms, map(ex.beta, ms))
+    betas = {m: b for m, b in betas if b}
     coeffs = {(m,): rat(b, m) for m, b in betas.items()}
     return BrauerLog(Logarithm(Series(QQ, ("T",), cap, coeffs)), f, betas)
 
 
 # ---------------------------------------------------------------------------
-# heights and ordinarity
+# heights
 # ---------------------------------------------------------------------------
 
 
@@ -454,13 +454,6 @@ def brauer_generators(f: QuarticForm, p, h_max: int):
     qs = [p.p ** n for n in range(1, h_max + 1)]
     ells = (rat(b, q) for q, b in zip(qs, beta_coefficients(f, qs)))
     return closed_fibre_height(ells, p, h_max)
-
-
-def ordinarity_criterion(f: QuarticForm, p) -> bool:
-    """True iff beta_p is nonzero mod p (the Hasse-invariant style test:
-    height 1 exactly when the p-th logarithm coefficient survives mod p)."""
-    p = p if isinstance(p, Prime) else Prime(int(p))
-    return beta_coefficient(f, p.p) % p.p != 0
 
 
 # ---------------------------------------------------------------------------

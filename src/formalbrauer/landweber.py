@@ -440,9 +440,7 @@ def _check_differential(l, p: Prime, through: int):
         if m > through:
             return
         c = l.coeffs[(m,)]
-        if not all((x * m).denominator % q
-                   for x in (c.terms.values() if isinstance(c, TruncPoly)
-                             else (c,))):
+        if not _p_integral(c * m, p):
             raise NonIntegral(
                 f"{m} times the logarithm's coefficient at T^{m} is not "
                 f"{q}-integral ({c}), so no {q}-integral law has this "
@@ -452,7 +450,7 @@ def _check_differential(l, p: Prime, through: int):
 def _exactness_report(R: RingPresentation, ring, h, vs) -> LandweberReport:
     """The report on (p, v_1, ..., v_n) for the closed-fibre height h and
     the v_n that closed_fibre_height read, elements of ring."""
-    vs = [ring.from_int(R.p), *vs]
+    vs = [ring.coerce(R.p), *vs]
     report = LandweberReport(
         p=R.prime, ring=R, closed_fibre_height=h, vs=vs,
         chain_generators=[vs[:n] for n in range(len(vs))],

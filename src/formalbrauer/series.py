@@ -31,8 +31,8 @@ from fractions import Fraction
 from math import lcm
 from operator import add
 
-from .coefficients import RationalField
-from .errors import CapTooSmall, NotAUnit, RingMismatch
+from .coefficients import RationalField, rat
+from .errors import CapTooSmall, RingMismatch
 
 
 class Series:
@@ -51,7 +51,7 @@ class Series:
                 raise RingMismatch(f"exponent {e} has arity {len(e)}, expected {nvars}")
             if sum(e) > cap:
                 raise ValueError(f"term {e} above cap {cap}")
-            if not ring.is_zero(c):
+            if c:
                 clean[e] = c
         self.coeffs = clean
 
@@ -138,10 +138,13 @@ class Series:
     # ----- cap handling -------------------------------------------------
 
     def truncate(self, n):
-        if n >= self.cap:
-            return self.with_cap(n)
-        return Series(self.ring, self.vars, n,
-                      {e: c for e, c in self.coeffs.items() if sum(e) <= n})
+        """The series through degree n <= cap; with_cap raises the cap."""
+        if n > self.cap:
+            raise CapTooSmall(
+                f"a cap-{self.cap} series is not known through degree {n}")
+        return Series._make(self.ring, self.vars, n,
+                            {e: c for e, c in self.coeffs.items()
+                             if sum(e) <= n})
 
     def with_cap(self, n):
         """Reinterpret at a higher cap. Coefficients between the old and new
@@ -169,7 +172,7 @@ class Series:
         for e, c in other.coeffs.items():
             if e in out:
                 s = out[e] + c
-                if rng.is_zero(s):
+                if not s:
                     del out[e]
                 else:
                     out[e] = s
@@ -191,7 +194,7 @@ class Series:
         # cap (t^2 * t^2 at cap 3), so the zeros are dropped here
         return Series._make(rng, self.vars, self.cap,
                             {e: x for e, v in self.coeffs.items()
-                             if not rng.is_zero(x := v * c)})
+                             if (x := v * c)})
 
     # ----- multiplication -------------------------------------------------
 
@@ -220,7 +223,7 @@ class Series:
         out = {}
         for e, ps in pairs.items():
             c = rng.dot(ps)
-            if not rng.is_zero(c):
+            if c:
                 out[e] = c
         return Series._make(rng, self.vars, cap, out)
 
@@ -240,7 +243,7 @@ class Series:
         out = {}
         for e, ps in pairs.items():
             v = rng.dot(ps)
-            if not rng.is_zero(v):
+            if v:
                 out[e] = v
         return Series._make(rng, self.vars, self.cap, out)
 
@@ -254,7 +257,7 @@ class Series:
             raise RingMismatch("compose needs a univariate outer series")
         if not isinstance(inner, Series) or inner.ring != self.ring:
             raise RingMismatch("inner series over a different ring")
-        if not self.ring.is_zero(inner.constant_coeff()):
+        if inner.constant_coeff():
             raise ValueError("inner series must have zero constant term")
         # the composite is exact only through the smaller cap
         if inner.cap > self.cap:
@@ -281,7 +284,7 @@ class Series:
         tpl = repls[0]
         for r in repls:
             tpl._match(r)
-            if not self.ring.is_zero(r.constant_coeff()):
+            if r.constant_coeff():
                 raise ValueError("replacement series must have zero constant term")
         if tpl.ring != self.ring:
             raise RingMismatch("replacements over a different ring")
@@ -360,7 +363,7 @@ class Series:
         out = {}
         for (d,), c in self.coeffs.items():
             if d + 1 <= out_cap:
-                out[(d + 1,)] = rng.div_int(c, d + 1)
+                out[(d + 1,)] = c * rat(1, d + 1)
         return Series(rng, self.vars, out_cap, out)
 
     def shift_up(self, k):
@@ -381,19 +384,16 @@ class Series:
         """Multiplicative inverse of a series with unit constant term."""
         self._need_univariate()
         rng = self.ring
-        c0 = self.constant_coeff()
-        if not rng.is_unit(c0):
-            raise NotAUnit("constant term is not a unit")
-        inv0 = rng.invert(c0)
+        inv0 = rng.invert(self.constant_coeff())
         support = sorted(d for (d,) in self.coeffs if d >= 1)
         out = {0: inv0}
         for n in range(1, self.cap + 1):
             s = rng.dot((self.coeffs[(k,)], out[n - k]) for k in support
                         if k <= n and n - k in out)
-            if not rng.is_zero(s):
+            if s:
                 out[n] = -(inv0 * s)
         return Series(rng, self.vars, self.cap,
-                      {(d,): c for d, c in out.items() if not rng.is_zero(c)})
+                      {(d,): c for d, c in out.items()})
 
     def solve(self, rhs):
         """The series g with self(g) = rhs and g(0) = 0, through degree cap.
@@ -408,16 +408,12 @@ class Series:
         """
         self._need_univariate()
         self._match(rhs)
-        rng = self.ring
-        if not (rng.is_zero(self.constant_coeff())
-                and rng.is_zero(rhs.constant_coeff())):
+        if self.constant_coeff() or rhs.constant_coeff():
             raise ValueError("solve needs zero constant terms")
-        a1 = self.coeff(1)
-        if not rng.is_unit(a1):
-            raise NotAUnit("linear coefficient is not a unit")
         N = self.cap
         m = 1
-        g = Series(rng, self.vars, m, {(1,): rhs.coeff(1) * rng.invert(a1)})
+        g = Series(self.ring, self.vars, m,
+                   {(1,): rhs.coeff(1) * self.ring.invert(self.coeff(1))})
         deriv = self.derivative()
         while m < N:
             m2 = min(2 * m + 1, N)

@@ -15,15 +15,17 @@ and zerodivisor.
 from dataclasses import dataclass, field
 
 from formalbrauer import fgl, landweber
-from formalbrauer.coefficients import Prime
+from formalbrauer.coefficients import QQ, Prime, rat
 from formalbrauer.errors import CapTooSmall, FormalBrauerError
 from formalbrauer.fgl import (
     FormalGroupLaw,
     HeightResult,
+    Logarithm,
     PSeries,
     check_integral,
     unit_at_closed_point,
 )
+from formalbrauer.k3brauer import power_diagonal, stienstra_log
 from formalbrauer.landweber import LandweberReport, check_regular_sequence
 from formalbrauer.series import Series
 
@@ -31,6 +33,20 @@ from formalbrauer.series import Series
 class FirstNonzeroNotPPower(FormalBrauerError):
     """The reduced p-series has its first nonzero term in a degree that is
     not a power of p; the input was not a formal group p-series."""
+
+
+def quartic_log(f, cap: int) -> Logarithm:
+    """The logarithm sum beta_m T^m / m of a quartic, for the oracle routes.
+    A nondiagonal quartic takes its betas from one power_diagonal pass,
+    independent of the BetaExtractor that stienstra_log and the heights
+    read. A diagonal quartic takes stienstra_log's: each of its betas is
+    one lattice point, checked against the corridor in test_k3brauer, and
+    its corridor is slow at the caps of a height window."""
+    if f.is_diagonal():
+        return stienstra_log(f, cap).log
+    diag = power_diagonal(f, cap - 1)
+    return Logarithm(Series.univariate(
+        QQ, cap, {m: rat(b, m) for m, b in enumerate(diag, 1)}))
 
 
 def p_series(source, p: Prime, cap: int) -> PSeries:

@@ -108,9 +108,6 @@ def test_rational_field_basics():
     assert QQ.coerce(3) == rat(3)
     x = rat(2, 3)
     assert QQ.coerce(x) is x
-    assert QQ.div_int(rat(3), 2) == rat(3, 2)
-    assert QQ.is_unit(rat(-5, 7))
-    assert not QQ.is_unit(rat(0))
     assert QQ.invert(rat(3, 4)) == rat(4, 3)
     with pytest.raises(NotAUnit):
         QQ.invert(rat(0))
@@ -170,7 +167,7 @@ def test_truncpoly_equals_and_hashes_like_its_constant():
     R = TruncPolyRing(("t", "u"), 4)
     assert R.one == 1 and hash(R.one) == hash(1)
     assert len({R.one, 1}) == 1
-    half = R.from_rat(rat(1, 2))
+    half = R.coerce(rat(1, 2))
     assert half == rat(1, 2) and rat(1, 2) == half
     assert hash(half) == hash(rat(1, 2))
     assert half != rat(1, 3) and half != 1
@@ -192,7 +189,7 @@ def test_truncpoly_inversion_is_geometric():
         R.invert(t)
     # a constant inverts to its inverse, untruncated, even when it carries
     # the flag, as the geometric series (which stops at once) gave it
-    for c in (R.from_rat(rat(-3, 7)), (t ** 4 * t) + rat(2, 5)):
+    for c in (R.coerce(rat(-3, 7)), (t ** 4 * t) + rat(2, 5)):
         inv = R.invert(c)
         assert inv == 1 / c.constant_term() and not inv.truncated
     assert ((t ** 4 * t) + rat(2, 5)).truncated

@@ -24,7 +24,7 @@ from formalbrauer.fgl import (
     log_from_fgl,
     standard_law,
 )
-from formalbrauer.k3brauer import brauer_height, named_quartic, stienstra_log
+from formalbrauer.k3brauer import brauer_height, named_quartic
 from formalbrauer.landweber import (
     SCENARIOS,
     RingPresentation,
@@ -38,6 +38,7 @@ from p_series_oracle import (
     height,
     p_series,
     p_series_report,
+    quartic_log,
 )
 
 # (quartic, p, h_max) -> (kind, value, first_nonzero_degree): the height
@@ -72,7 +73,7 @@ def _full_window(source, p, h_max, cap):
 def test_escalated_height_equals_full_window(name, p, h_max):
     f = named_quartic(name)
     cap = p ** h_max + 1
-    full = height(p_series(stienstra_log(f, cap).log, p, cap), h_max)
+    full = height(p_series(quartic_log(f, cap), p, cap), h_max)
     got = brauer_height(f, p, h_max)
     assert got == full
     assert (got.kind, got.value, got.first_nonzero_degree) == \

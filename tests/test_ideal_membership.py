@@ -390,7 +390,7 @@ def test_shifted_columns_equal_products(params, cap):
     after generator, in monomial order."""
     ring = TruncPolyRing(params, cap)
     ts = [ring.var(t) for t in params]
-    g = ring.from_int(3) + ts[0] * rat(2, 5)
+    g = ring.coerce(3) + ts[0] * rat(2, 5)
     for k, t in enumerate(ts):
         g = g + t * t * ts[-1] * (k + 1) - t ** 3 * rat(1, 9)
     h = ts[-1] * ts[0] * 6 + ts[0] ** 3 * rat(5, 3)
@@ -450,7 +450,7 @@ def integral_memberships(draw):
     elements = draw(st.lists(integral_elements(ring, p), min_size=1,
                              max_size=3))
     others = draw(st.lists(integral_elements(ring, p), max_size=3))
-    targets = [ring.one, elements[0] + ring.from_int(_unit(draw, p, 9)),
+    targets = [ring.one, elements[0] + ring.coerce(_unit(draw, p, 9)),
                *others]
     return p, ring, relations + elements, targets
 
@@ -481,7 +481,7 @@ def residue_memberships(draw):
     that p lies in the ideal; u is a p-adic unit plus a multiple of the
     first parameter, when there is one."""
     p, ring, gens, targets = draw(integral_memberships())
-    u = ring.from_int(_unit(draw, p, 9))
+    u = ring.coerce(_unit(draw, p, 9))
     if ring.variables:
         u = u + ring.var(ring.variables[0]) * draw(st.integers(-2, 2))
     return p, ring, gens + [u * p], targets
@@ -518,9 +518,9 @@ def test_residue_reading_needs_p_in_the_ideal(monkeypatch):
     t = ring.var("t")
     assert ideal_contains_all([t * 6 + 3, t * t], [t ** 3 + 3 * t],
                               3, ring) == [True]
-    assert ideal_contains_all([ring.from_int(9), t * t], [t ** 3 + 3 * t],
+    assert ideal_contains_all([ring.coerce(9), t * t], [t ** 3 + 3 * t],
                               3, ring) == [False]
-    assert ideal_contains_all([ring.from_int(3), t * t], [t * rat(1, 3)],
+    assert ideal_contains_all([ring.coerce(3), t * t], [t * rat(1, 3)],
                               3, ring) == [False]
     assert flags == [True, False, False]
 
@@ -537,7 +537,7 @@ def test_closed_point_rule_skips_the_elimination(monkeypatch):
 
     monkeypatch.setattr(fgl, "_p_integral_solvable", counting)
     ring = TruncPolyRing(("t",), 4)
-    t, three = ring.var("t"), ring.from_int(3)
+    t, three = ring.var("t"), ring.coerce(3)
     assert ideal_contains_all([three, t], [ring.one, t + 5], 3, ring) == \
         [False, False]
     assert ideal_contains_all([three, t + 2], [ring.one, t ** 3], 3, ring) \

@@ -8,15 +8,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from formalbrauer import k3brauer
 from formalbrauer.coefficients import is_prime
 from formalbrauer.errors import CapTooSmall
 from formalbrauer.k3brauer import (
     BUILTIN_QUARTICS,
+    BetaExtractor,
     QuarticForm,
     beta_coefficient,
+    brauer_generators,
     brauer_height,
     named_quartic,
-    ordinarity_criterion,
     power_diagonal,
     smooth_check_fp,
     stienstra_log,
@@ -234,6 +236,35 @@ def test_fermat_log_closed_form_equals_general():
                        if corridor[m - 1]}
 
 
+# exponent vectors of rank 2, so the extractor has no basis and its route
+# is always the corridor
+RANK_TWO = QuarticForm({(1, 1, 1, 1): 1, (2, 2, 0, 0): 1, (0, 0, 2, 2): 3})
+
+
+@pytest.mark.parametrize("f, route, passes", [(CROSS, "enumerate", 0),
+                                              (RANK_TWO, "corridor", 1)],
+                         ids=["fermat-cross", "rank-two"])
+def test_nondiagonal_log_follows_the_extractor_route(monkeypatch, f, route,
+                                                     passes):
+    # stienstra_log takes single betas, or one corridor pass for every
+    # degree, as the extractor's counted cost at the cap says; either way
+    # the betas are the corridor's
+    calls = []
+
+    def counting(f, n_max):
+        calls.append(n_max)
+        return power_diagonal(f, n_max)
+
+    assert BetaExtractor(f).route(17) == route
+    monkeypatch.setattr(k3brauer, "power_diagonal", counting)
+    a = stienstra_log(f, 17)
+    assert calls == [16] * passes
+    corridor = power_diagonal(f, 16)
+    assert a.betas == {m: corridor[m - 1] for m in range(1, 18)
+                       if corridor[m - 1]}
+    assert len(a.betas) > 1
+
+
 def test_brauer_log_cap_guard():
     blog = stienstra_log(FERMAT, 9)
     assert blog.beta(9) == 2520
@@ -269,7 +300,7 @@ def test_brauer_height_rejects_all_divisible():
 def test_ordinarity_criterion_matches_height():
     for p in (3, 5, 7, 11, 13):
         res = brauer_height(FERMAT, p, 1)
-        assert ordinarity_criterion(FERMAT, p) == (
+        assert (int(brauer_generators(FERMAT, p, 1)[1][0]) % p != 0) == (
             res.is_finite and res.value == 1)
 
 
@@ -286,7 +317,7 @@ def test_ordinarity_matches_height_random_diagonals():
                 continue        # smooth diagonal needs p coprime coefficients
             assert smooth_check_fp(f, p)
             res = brauer_height(f, p, 1)
-            assert ordinarity_criterion(f, p) == (
+            assert (int(brauer_generators(f, p, 1)[1][0]) % p != 0) == (
                 res.is_finite and res.value == 1)
             tested += 1
 

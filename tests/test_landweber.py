@@ -414,9 +414,9 @@ def _completes_to_a_basis(R, xs):
     exactly when the images of the x's in m/m^2 are independent. A nonzero
     constant that was not truncated is read as p."""
     ring = R.base_ring
-    coords = [ring.from_int(R.p), *(ring.var(t) for t in R.parameters)]
+    coords = [ring.coerce(R.p), *(ring.var(t) for t in R.parameters)]
     square = [a * b for a, b in combinations_with_replacement(coords, 2)]
-    xs = [ring.from_int(R.p) if x.terms and not x.truncated
+    xs = [ring.coerce(R.p) if x.terms and not x.truncated
           and x.total_degree() == 0 else x for x in xs]
     if len(xs) > len(coords):
         return False
@@ -435,7 +435,7 @@ def _non_unit_sequences(draw):
     k = draw(st.integers(0, 2))
     R = RingPresentation(Prime(p), _PARAMS[:k], draw(st.integers(1, 4)))
     ring = R.base_ring
-    coords = [ring.from_int(p), *(ring.var(t) for t in R.parameters)]
+    coords = [ring.coerce(p), *(ring.var(t) for t in R.parameters)]
     xs = []
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.integers(0, 3)):

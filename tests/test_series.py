@@ -63,6 +63,9 @@ def test_truncate_drops_and_with_cap_raises_only():
     assert s.with_cap(10).coeff(5) == rat(7)
     with pytest.raises(CapTooSmall):
         s.with_cap(3)                        # lowering must go via truncate
+    with pytest.raises(CapTooSmall):
+        s.truncate(9)                        # raising must go via with_cap
+    assert s.truncate(8) == s
 
 
 # ---------------------------------------------------------------------------
@@ -227,3 +230,53 @@ def test_reversion_over_polynomial_coefficients():
     s = Series(R, ("T",), 5, {(1,): R.one, (3,): t})
     inv = s.reversion()
     assert inv.compose(s) == Series.variable(R, 5, "T")
+
+
+# ---------------------------------------------------------------------------
+# the coefficient-ring protocol
+# ---------------------------------------------------------------------------
+
+
+class _ProtocolOnly:
+    """A coefficient ring over Fraction with only the protocol the series
+    layer may call: zero, one, coerce, dot and invert. Zero tests, equality
+    and division are left to the elements."""
+
+    __slots__ = ()
+    zero = rat(0)
+    one = rat(1)
+
+    def coerce(self, x):
+        return rat(x)
+
+    def dot(self, pairs):
+        return sum((a * b for a, b in pairs), rat(0))
+
+    def invert(self, a):
+        if not a:
+            raise NotAUnit("0 is not invertible")
+        return 1 / a
+
+
+def test_series_needs_only_the_reduced_ring_protocol():
+    # compose over this ring takes the generic ring.dot route, which QQ
+    # does not; every result must equal the one over QQ
+    P = _ProtocolOnly()
+
+    def both(coeffs, cap=8):
+        return _uni(coeffs, cap, QQ), _uni(coeffs, cap, P)
+
+    def same(got, want):
+        assert (got.cap, got.coeffs) == (want.cap, want.coeffs)
+
+    aq, ap = both({1: rat(2, 3), 2: -1, 4: rat(5, 7), 7: 3})
+    bq, bp = both({0: 1, 1: rat(1, 2), 3: -2, 6: rat(4, 9)})
+    cq, cp = both({1: 1, 2: rat(3, 5), 5: -4})
+    same(ap.mul(bp), aq.mul(bq))
+    same(bp.compose(ap), bq.compose(aq))
+    same(ap.integral(9), aq.integral(9))
+    same(bp.invert_unit(), bq.invert_unit())
+    same(ap.solve(cp), aq.solve(cq))
+    same(ap.reversion(), aq.reversion())
+    with pytest.raises(NotAUnit):
+        _uni({2: 1}, ring=P).reversion()
