@@ -16,32 +16,34 @@ The process pool, csv, datetime and the acceptance suite are imported inside
 the commands that use them: for a narrow question, start-up costs more than
 the computation. For the same reason the argparse tree is built on the first
 `main` call, not at import, and reused by every later call in the process,
-and a quartic file costs one stat (`os.path.isfile`) and one unbuffered
-binary read, with no `pathlib.Path` and no text-I/O layer. Timed cold, as
-the census benchmark times an op (after its reference kernel and a
+and a quartic file costs one stat (`os.path.isfile`), one `os.open`,
+`os.read` calls until end of file and one `os.close`, with no
+`pathlib.Path`, no file object and no text-I/O layer. Timed cold, as the
+census benchmark times an op (after its reference kernel and a
 `gc.collect()`), a `Path` with `is_file`, `read_text` and `.stem` took about
-280 us of a 0.9 ms height cell, a text-mode `open` 180 us and
-`open(ref, "rb", buffering=0)` 75-115 us; loading fermat-cross's file,
-parse included, went from 370 to 180 us (medians of 200 calls, 2-core host,
-Python 3.11.7).
+280 us of a 0.9 ms height cell and a text-mode `open` 180 us; the stat and
+read of fermat's file take 88-103 us through `open(ref, "rb",
+buffering=0)` and 71-88 us through `os.read` (medians of 300 interleaved
+calls, three runs, 2-core host, Python 3.11.7).
 
-Two more fixed costs per question are cut the same way. `main` hands
-argv[1:] straight to the named subcommand's parser: through the root
-parser, argparse classifies every option string twice, and prefix-matches
-each unknown `--option` against the root's own options, before the
-subparser action starts the real parse. Both routes run the same subparser
-objects; argv that names no command still goes to the root's parse_args,
-and leftover arguments get the root's "unrecognized arguments" error, so
-every byte and exit code is the same. And `_json` writes the indent-2 JSON
-of every command: Python 3.10-3.13 use the C encoder only when `indent is
-None` (json/encoder.py), so json.dumps(doc, indent=2) runs the pure-Python
+Two more fixed costs per question are cut the same way. `main` parses
+well-formed argv itself: `_scan` takes exact long options of the named
+command, each flag alone and each other option with one value that does not
+start with '-', and converts, checks and stores every value through the
+subcommand parser's own Action objects, as argparse does. Everything else
+(help, an abbreviation, --opt=value, --, a value starting with '-', a bad
+value, a missing required option, argv naming no command) goes to the root
+parser's parse_args, the one source of help, usage and error text, so
+every byte and exit code is that of a full parse. Timed cold as above, the
+census's height argv parses in 231-260 us through the root parser and
+58-69 us through `_scan`. And `_json` writes the indent-2 JSON of every
+command: Python 3.10-3.13 use the C encoder only when `indent is None`
+(json/encoder.py), so json.dumps(doc, indent=2) runs the pure-Python
 generator encoder; `_json` gives its bytes with the C string encoder and
 plain joins. Timed cold, interleaved (medians of 300 calls, three runs,
-2-core host, Python 3.11.7), a height argv parsed in 101-155 us through
-the root and 75-116 us through the subparser, and json.dumps against
-`_json` took 53-59 against 28-34 us on a height document, 64-90 against
-36-54 us on a landweber report and 160-171 against 101-114 us on a
-certificate.
+2-core host, Python 3.11.7), json.dumps against `_json` took 53-59 against
+28-34 us on a height document, 64-90 against 36-54 us on a landweber report
+and 160-171 against 101-114 us on a certificate.
 """
 
 from __future__ import annotations
@@ -158,10 +160,50 @@ def _build_parser() -> _Parser:
                     metavar="CHECK",
                     help="run a subset (comma-separated, repeatable); an "
                          "unknown name is an error that lists every check")
-    # the subcommand parsers by name, for main to dispatch to
-    parser.commands = {"height": hp, "landweber": lp, "certify": cp,
-                       "selftest": sp}
+    # each subcommand's parser and its long options by name, for _scan; the
+    # options map to the Action objects add_argument returned, help aside
+    parser.commands = {
+        name: (sub, {a.option_strings[0]: a for a in sub._actions
+                     if a.dest != "help"})
+        for name, sub in (("height", hp), ("landweber", lp),
+                          ("certify", cp), ("selftest", sp))}
     return parser
+
+
+def _scan(command, argv):
+    """The namespace argparse would give well-formed argv, else None.
+
+    `command` is an entry of the root parser's `commands`, and well-formed
+    is as the module docstring says. Each value goes through its Action's
+    type, choices and call, as in argparse.
+    """
+    sub, options = command
+    ns = argparse.Namespace(command=argv[0])
+    for action in options.values():
+        setattr(ns, action.dest, action.default)
+    seen = set()
+    args = iter(argv[1:])
+    for flag in args:
+        action = options.get(flag)
+        if action is None or action.nargs not in (None, 0):
+            return None
+        value = []
+        if action.nargs is None:
+            value = next(args, "-")     # a missing value is refused too
+            if value.startswith("-"):
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (TypeError, ValueError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        action(sub, ns, value, flag)
+        seen.add(action)
+    if any(a.required and a not in seen for a in options.values()):
+        return None
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +221,19 @@ def _load_quartic(ref: str) -> QuarticForm:
         if "/" in ref or ref.endswith(".quartic"):
             raise ValueError(f"quartic file not found: {ref}")
         return named_quartic(ref)
+    chunks = []
     try:
-        with open(ref, "rb", buffering=0) as fh:
-            data = fh.read()
+        fd = os.open(ref, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+        try:
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ValueError(
             f"cannot read quartic file {ref}: {exc.strerror}") from None
     try:
-        text = data.decode("utf-8")
+        text = b"".join(chunks).decode("utf-8")
     except UnicodeDecodeError:
         raise ValueError(f"quartic file {ref} is not UTF-8 text") from None
     # the row name is Path(ref).stem: a final suffix is dropped only when
@@ -465,13 +512,9 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
+    ns = _scan(command, argv) if command is not None else None
+    if ns is None:
         ns = parser.parse_args(argv)
-    else:
-        ns, extra = command.parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     handlers = {
         "height": cmd_height,
         "landweber": cmd_landweber,

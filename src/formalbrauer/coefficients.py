@@ -278,7 +278,7 @@ class TruncPoly:
 
     def constant_term(self):
         c = self.terms.get((0,) * len(self.vars))
-        return rat(0) if c is None else c
+        return QQ.zero if c is None else c
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)

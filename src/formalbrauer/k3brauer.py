@@ -111,9 +111,6 @@ class QuarticForm:
     def coefficient(self, e) -> int:
         return self.terms.get(tuple(e), 0)
 
-    def is_diagonal(self) -> bool:
-        return all(max(e) == 4 for e in self.terms)
-
     def partial(self, i: int) -> dict:
         """d f / d T_i as a sparse cubic: exponent 4-tuples -> int."""
         out = {}

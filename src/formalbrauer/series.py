@@ -152,7 +152,7 @@ class Series:
         (Newton iteration does)."""
         if n < self.cap:
             raise CapTooSmall(f"use truncate to lower the cap ({n} < {self.cap})")
-        return Series(self.ring, self.vars, n, self.coeffs)
+        return Series._make(self.ring, self.vars, n, dict(self.coeffs))
 
     # ----- linear structure ----------------------------------------------
 
@@ -364,19 +364,19 @@ class Series:
         for (d,), c in self.coeffs.items():
             if d + 1 <= out_cap:
                 out[(d + 1,)] = c * rat(1, d + 1)
-        return Series(rng, self.vars, out_cap, out)
+        return Series._make(rng, self.vars, out_cap, out)
 
     def shift_up(self, k):
         self._need_univariate()
         out = {(d + k,): c for (d,), c in self.coeffs.items() if d + k <= self.cap}
-        return Series(self.ring, self.vars, self.cap, out)
+        return Series._make(self.ring, self.vars, self.cap, out)
 
     def shift_down(self, k):
         self._need_univariate()
         if any(d < k for (d,) in self.coeffs):
             raise ValueError(f"cannot shift down by {k}: lower-degree terms present")
-        return Series(self.ring, self.vars, self.cap,
-                      {(d - k,): c for (d,), c in self.coeffs.items()})
+        return Series._make(self.ring, self.vars, self.cap,
+                            {(d - k,): c for (d,), c in self.coeffs.items()})
 
     # ----- inversion and reversion ----------------------------------------
 
@@ -392,8 +392,8 @@ class Series:
                         if k <= n and n - k in out)
             if s:
                 out[n] = -(inv0 * s)
-        return Series(rng, self.vars, self.cap,
-                      {(d,): c for d, c in out.items()})
+        return Series._make(rng, self.vars, self.cap,
+                            {(d,): c for d, c in out.items()})
 
     def solve(self, rhs):
         """The series g with self(g) = rhs and g(0) = 0, through degree cap.

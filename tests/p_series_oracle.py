@@ -35,6 +35,11 @@ class FirstNonzeroNotPPower(FormalBrauerError):
     not a power of p; the input was not a formal group p-series."""
 
 
+def is_diagonal(f) -> bool:
+    """Whether every term of the quartic f is a fourth power T_i^4."""
+    return all(max(e) == 4 for e in f.terms)
+
+
 def quartic_log(f, cap: int) -> Logarithm:
     """The logarithm sum beta_m T^m / m of a quartic, for the oracle routes.
     A nondiagonal quartic takes its betas from one power_diagonal pass,
@@ -42,7 +47,7 @@ def quartic_log(f, cap: int) -> Logarithm:
     read. A diagonal quartic takes stienstra_log's: each of its betas is
     one lattice point, checked against the corridor in test_k3brauer, and
     its corridor is slow at the caps of a height window."""
-    if f.is_diagonal():
+    if is_diagonal(f):
         return stienstra_log(f, cap).log
     diag = power_diagonal(f, cap - 1)
     return Logarithm(Series.univariate(

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism, parallel grids."""
 
+import argparse
 import concurrent.futures
 import csv
 import errno
@@ -13,7 +14,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from formalbrauer import __version__, acceptance, cli, k3brauer
 from formalbrauer.errors import NonIntegral
@@ -300,15 +301,15 @@ def test_bad_quartic_file_is_a_usage_error(tmp_path, monkeypatch, capsys):
     latin.write_bytes(b"# coefficient \xe9\n4 0 0 0 1\n")
     usage_error(str(latin), f"quartic file {latin} is not UTF-8 text")
 
-    def fail(ref, *args, **kwargs):
-        raise OSError(errno.EIO, os.strerror(errno.EIO), ref)
-    monkeypatch.setattr(cli, "open", fail, raising=False)
+    def fail(*args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+    monkeypatch.setattr(os, "read", fail)
     usage_error(str(bad), f"cannot read quartic file {bad}: "
                           f"{os.strerror(errno.EIO)}")
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"opened {args[0]}")
-    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    monkeypatch.setattr(os, "open", refuse)
     fifo = tmp_path / "fifo.quartic"
     os.mkfifo(fifo)
     (tmp_path / "dir.quartic").mkdir()
@@ -663,12 +664,22 @@ def test_reused_parser_carries_nothing_from_one_call_to_the_next(capsys):
 
 
 # ---------------------------------------------------------------------------
-# dispatch straight to the subcommand's parser
+# well-formed argv through the scan, everything else through argparse
 # ---------------------------------------------------------------------------
 
 
+# the argv shapes of the census benchmark's height, landweber and certify ops
+CENSUS = [
+    ["height", "--quartic", "fermat", "--primes", "7", "--hmax", "2",
+     "--format", "json", "--no-timestamp"],
+    ["landweber", "--scenario", "hazewinkel-t1", "--p", "3", "--format",
+     "json", "--no-timestamp"],
+    ["certify", "--quartic", "fermat", "--ring", "zp", "--p", "7", "--hmax",
+     "2", "--no-timestamp"],
+]
+
 # valid calls, usage errors argparse reports, usage errors the handlers
-# report, help, version, and argv that name no command
+# report, help, version, argv that name no command, and the census argv
 PARITY = [
     ["height", "--quartic", "fermat", "--primes", "5,13", "--format", "json",
      "--no-timestamp"],
@@ -702,6 +713,7 @@ PARITY = [
     ["--quartic", "fermat", "height"],
     ["--version", "height"],
     ["HEIGHT", "--quartic", "fermat", "--primes", "5"],
+    *CENSUS,
 ]
 
 
@@ -719,8 +731,8 @@ def cli_outcome(argv, capsys):
 @pytest.mark.parametrize("argv", PARITY,
                          ids=lambda argv: " ".join(argv) or "(none)")
 def test_dispatch_matches_the_full_parse(argv, monkeypatch, capsys):
-    # without `commands` to look the name up in, main sends every argv
-    # through the root parser's parse_args and on to the handler
+    # without `commands` to scan with, main sends every argv through the
+    # root parser's parse_args and on to the handler
     seen = []
     for name in ("cmd_height", "cmd_landweber", "cmd_certify",
                  "cmd_selftest"):
@@ -732,6 +744,93 @@ def test_dispatch_matches_the_full_parse(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli._build_parser(), "commands", {})
     assert cli_outcome(argv, capsys) == direct
     assert len(seen) in (0, 2) and seen[:1] == seen[1:]
+
+
+# each command's long options, by name
+OPTIONS = {name: options for name, (_, options)
+           in cli._build_parser().commands.items()}
+OPTION_STRINGS = sorted({flag for options in OPTIONS.values()
+                         for flag in options})
+# abbreviations, = forms, help, --, and other words starting with '-'
+DASHED = ["--quart", "--prim", "--no-time", "--h", "--r", "--form",
+          "--primes=5", "--format=json", "--p=-3", "--hmax=", "-h", "--help",
+          "--version", "--", "-", "-x", "--bogus", "-1", "-5"]
+# bad ints, values outside the choices, empty strings, and values that fit
+# some options but not others
+MISFITS = ["1.5", "x", "", " ", "yaml", "qq", "bogus", "fermat", "5,13", "2",
+           "csv", "torsion", "additive", "point-count", "out.json"]
+
+
+@st.composite
+def argvs(draw):
+    """A well-formed argv of one command (its options in any number and
+    order, the required ones first half the time, each value one that
+    fits), then at most one edit: a value replaced by a misfit or a word
+    starting with '-', any argument replaced by, or a new one inserted as,
+    such a word or an option string, or the last argument dropped."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    options = OPTIONS[command]
+    flags = draw(st.lists(st.sampled_from(sorted(options)), max_size=5))
+    if draw(st.booleans()):
+        flags = [flag for flag, a in options.items() if a.required] + flags
+    argv, values = [command], []
+    for flag in flags:
+        argv.append(flag)
+        action = options[flag]
+        if action.nargs != 0:
+            values.append(len(argv))
+            fits = action.choices or (["2", "5"] if action.type is int
+                                      else ["fermat", "5,13"])
+            argv.append(draw(st.sampled_from(fits)))
+    edit = draw(st.sampled_from(["none", "misfit", "dashed", "replace",
+                                 "insert", "drop"]))
+    if edit in ("misfit", "dashed") and values:
+        words = MISFITS if edit == "misfit" else DASHED
+        argv[draw(st.sampled_from(values))] = draw(st.sampled_from(words))
+    elif edit in ("replace", "insert"):
+        word = draw(st.sampled_from(DASHED + MISFITS + OPTION_STRINGS))
+        i = draw(st.integers(0, len(argv) - (edit == "replace")))
+        argv[i:i + (edit == "replace")] = [word]
+    elif edit == "drop" and len(argv) > 1:
+        argv.pop()
+    return argv
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argvs())
+def test_scan_matches_the_full_parse(monkeypatch, capsys, argv):
+    # handlers record their namespace and do no work, so every draw is cheap
+    seen = []
+    for name in ("cmd_height", "cmd_landweber", "cmd_certify",
+                 "cmd_selftest"):
+        monkeypatch.setattr(cli, name, lambda ns: seen.append(vars(ns)) or 0)
+    parser = cli._build_parser()
+    scanned = cli_outcome(argv, capsys)
+    commands, parser.commands = parser.commands, {}
+    try:
+        parsed = cli_outcome(argv, capsys)
+    finally:
+        parser.commands = commands
+    assert scanned == parsed
+    assert len(seen) in (0, 2) and seen[:1] == seen[1:]
+
+
+def test_census_argv_skip_argparse(tmp_path, monkeypatch, capsys):
+    """The census's questions, a quartic file included, are answered
+    without an argparse parse."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"argparse parsed {args}")
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    path = tmp_path / "fermat.quartic"
+    path.write_text(named_quartic("fermat").dumps())
+    height, landweber, certify = CENSUS
+    argv = [height[:2] + [str(path)] + height[3:], landweber, certify]
+    assert [run(a) for a in argv] == [0, 0, cli.EXIT_REFUSED]
+    out, err = capsys.readouterr()
+    assert '"kind": "at_least"' in out and '"verdict": "exact"' in out
+    assert err.startswith("certification refused: ")
 
 
 JSON_KEYS = st.text() | st.integers() | st.sampled_from(
