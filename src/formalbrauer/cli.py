@@ -64,7 +64,7 @@ from .errors import CapTooSmall, CertificationRefused, NonIntegral
 from .k3brauer import (
     BUILTIN_QUARTICS,
     QuarticForm,
-    brauer_generators,
+    _height_with_beta_p,
     named_quartic,
 )
 from .landweber import (
@@ -340,8 +340,7 @@ def _height_cell(args):
     """One (quartic, prime) grid cell; top level so worker pools can run it."""
     f, p, h_max = args
     start = perf_counter()
-    result, vs = brauer_generators(f, p, h_max)
-    beta_p = int(vs[0]) % p     # v_1 = beta_p
+    result, beta_p = _height_with_beta_p(f, p, h_max)
     wall_ms = int((perf_counter() - start) * 1000)
     return {
         "quartic": f.name,

@@ -4,6 +4,7 @@ import argparse
 import concurrent.futures
 import csv
 import errno
+import fractions
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from formalbrauer import __version__, acceptance, cli, k3brauer
+from formalbrauer import __version__, acceptance, cli, fgl, k3brauer
 from formalbrauer.errors import NonIntegral
 from formalbrauer.k3brauer import beta_coefficient, named_quartic
 
@@ -184,6 +185,37 @@ def test_height_cell_builds_one_extractor(monkeypatch, capsys):
     assert sorted(built) == ["fermat"] * 3 + ["fermat-cross"] * 3
 
 
+def test_height_cells_build_no_fraction_and_run_no_v_n_recursion(
+        monkeypatch, capsys):
+    # a height row reads the betas' valuations: the rational v_n recursion,
+    # and any Fraction at all, would be work the answer never uses
+    want = {}
+    for qname, primes, h_max in acceptance.CENSUS:
+        for p in primes:
+            f = named_quartic(qname)
+            h, vs = k3brauer.brauer_generators(f, p, h_max)
+            want[qname, p] = (h.kind, h.value, h.first_nonzero_degree,
+                              int(vs[0]) % p)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("rational route taken by a height cell")
+
+    monkeypatch.setattr(fgl, "hazewinkel_generators", boom)
+    monkeypatch.setattr(k3brauer, "closed_fibre_height", boom)
+    monkeypatch.setattr(fractions.Fraction, "__new__", boom)
+    got = {}
+    for qname, primes, h_max in acceptance.CENSUS:
+        assert run(["height", "--quartic", qname,
+                    "--primes", ",".join(map(str, primes)),
+                    "--hmax", str(h_max), "--format", "json",
+                    "--no-timestamp"]) == 0
+        for r in json.loads(capsys.readouterr().out)["rows"]:
+            got[r["quartic"], r["prime"]] = (
+                r["kind"], r["value"], r["first_nonzero_degree"],
+                r["beta_p_mod_p"])
+    assert got == want
+
+
 DIAG_1112 = "# diagonal\n4 0 0 0 1\n0 4 0 0 1\n0 0 4 0 1\n0 0 0 4 2\n"
 
 
@@ -329,7 +361,7 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,work", [
     (["height", "--quartic", "fermat", "--primes", "5"],
-     ["brauer_generators"]),
+     ["_height_with_beta_p"]),
     (["landweber", "--scenario", "torsion"],
      ["builtin_scenario", "landweber_check"]),
     (["landweber", "--ring", "zp", "--law", "additive"],
@@ -377,7 +409,7 @@ def test_argparse_usage_problems_exit_one(capsys):
 def test_nonintegral_abort_exits_two(monkeypatch, capsys):
     def boom(*a, **k):
         raise NonIntegral("synthetic abort", degree=9, value=None)
-    monkeypatch.setattr(cli, "brauer_generators", boom)
+    monkeypatch.setattr(cli, "_height_with_beta_p", boom)
     code = run(["height", "--quartic", "fermat", "--primes", "5"])
     assert code == 2
     assert "integrality abort" in capsys.readouterr().err

@@ -292,8 +292,15 @@ def test_fermat_dichotomy_small_primes():
 def test_brauer_height_rejects_all_divisible():
     f = QuarticForm({(4, 0, 0, 0): 3, (0, 4, 0, 0): 6, (0, 0, 4, 0): 3,
                      (0, 0, 0, 4): 3})
-    with pytest.raises(ValueError, match="divides every coefficient"):
-        brauer_height(f, 3, 1)
+    # the valuation route and the v_n recursion make the same refusals, in
+    # one order: the prime, then h_max, then the reduction mod p
+    for p, h_max, message in ((9, 0, "9 is not prime"),
+                              (2, 1, "need an odd prime"),
+                              (3, 0, "h_max must be >= 1"),
+                              (3, 1, "3 divides every coefficient")):
+        for route in (brauer_height, brauer_generators):
+            with pytest.raises(ValueError, match=message):
+                route(f, p, h_max)
     # fine at a prime that misses some coefficient
     assert brauer_height(f, 7, 1) is not None
 

@@ -8,6 +8,7 @@ the whole window, reduced mod p and scanned (p_series_oracle.height). The
 two must give the same verdict, witness degree included.
 """
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -193,6 +194,33 @@ def test_brauer_height_raises_on_a_non_integral_v_n(name, p, n, monkeypatch):
     with pytest.raises(NonIntegral) as err:
         brauer_height(named_quartic(name), p, n)
     assert err.value.degree == q
+    # its value is the part of v_n that is not p-integral, 2 p^(n-2) / p^(n-1)
+    assert err.value.value == Fraction(2, p)
+    # the v_n recursion aborts at the same degree
+    with pytest.raises(NonIntegral) as err:
+        brauer_generators(named_quartic(name), p, n)
+    assert err.value.degree == q
+
+
+@st.composite
+def height_cells(draw):
+    """(quartic, p, h_max) for p in {3, 5, 7} and h_max in {1, 2, 3}."""
+    f, _ = draw(random_quartics())
+    p = draw(st.sampled_from([3, 5, 7]))
+    assume(any(c % p for c in f.terms.values()))
+    return f, p, draw(st.sampled_from([1, 2, 3]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(height_cells())
+def test_valuation_route_matches_the_v_n_recursion(cell):
+    # brauer_height reads the verdict off v_p(beta_(p^n)); brauer_generators
+    # runs Hazewinkel's rational recursion for the v_n themselves, and the
+    # beta_p mod p the height rows print is its v_1 mod p
+    f, p, h_max = cell
+    assert brauer_height(f, p, h_max) == brauer_generators(f, p, h_max)[0]
+    beta_p = k3brauer._height_with_beta_p(f, p, h_max)[1]
+    assert beta_p == int(brauer_generators(f, p, 1)[1][0]) % p
 
 
 @pytest.mark.parametrize("p", [17, 19, 23, 29, 31, 37, 41, 43])
