@@ -12,10 +12,9 @@ monomials of f that reach (T0 T1 T2 T3)^(m-1) and solves for the last four by
 one 4x4 integer system; for a diagonal quartic that is one lattice point,
 (m-1)/4 each, when 4 divides m - 1. The corridor pass power_diagonal expands
 f^j for every j < m at once; BetaExtractor.route takes it where its counted
-cost is lower (dense quartics, exponent vectors of rank < 4), for a single
-beta and for a whole logarithm alike: stienstra_log makes one corridor pass
-when the route at its cap is the corridor, and extracts each beta on its own
-otherwise.
+cost is lower (dense quartics), for a single beta and for a whole logarithm
+alike: stienstra_log makes one corridor pass when the route at its cap is
+the corridor, and extracts each beta on its own otherwise.
 
 Everything downstream reads the betas extracted here. A height is the
 least n whose Hazewinkel generator v_n is a unit mod p; while v_1, ...,
@@ -234,8 +233,9 @@ def _adjugate4(B):
 
 
 def _independent_four(monos):
-    """Indices of the first four entries of `monos` whose exponent vectors
-    are linearly independent, or None when they span less than rank 4.
+    """(chosen, units): the indices of the first entries of `monos` whose
+    exponent vectors are linearly independent, and the unit vectors of the
+    coordinates where no pivot was taken, which complete them to a basis.
     Each vector is reduced, fraction-free, against the pivots taken so far;
     a later pivot row is already zero in every earlier pivot column."""
     pivots, chosen = [], []
@@ -249,8 +249,9 @@ def _independent_four(monos):
             pivots.append((col, v))
             chosen.append(k)
             if len(chosen) == 4:
-                return chosen
-    return None
+                return chosen, ()
+    return chosen, [tuple(int(i == j) for i in range(4)) for j in range(4)
+                    if all(col != j for col, _ in pivots)]
 
 
 class BetaExtractor:
@@ -259,13 +260,15 @@ class BetaExtractor:
     With N = m - 1, beta_m is the sum, over multiplicities a >= 0 of the
     monomials c_k T^(e_k) of f with sum_k a_k e_k = (N, N, N, N), of
     multinomial(N; a) * prod_k c_k^(a_k). Four monomials with linearly
-    independent exponent vectors form the basis B; the multiplicities of
-    the others, the free monomials, are enumerated, and the residual r
-    fixes the basis multiplicities x = adj(B) r / det(B), which count only
-    when integral and nonnegative. A diagonal quartic has no free monomial:
-    its one point is x = (N/4, ..., N/4), there when 4 | N. With no free
-    monomial the walk is that one point, whose integrality check decides
-    whether beta_m is 0.
+    independent exponent vectors form the basis B, completed by unit
+    vectors of coefficient 0 when f's exponents have rank < 4; the
+    multiplicities of the others, the free monomials, are enumerated, and
+    the residual r fixes the basis multiplicities x = adj(B) r / det(B),
+    which count only when integral and nonnegative. A diagonal quartic has
+    no free monomial: its one point is x = (N/4, ..., N/4), there when
+    4 | N. A unit vector's multiplicity is 0 at every point when
+    (1, 1, 1, 1) is in the span of f's exponents, for then every residual
+    is; when it is not, beta_m = 0 for m > 1 and nothing is walked.
 
     The basis is taken greedily from the monomials of smallest largest
     exponent, so the free ones are those with the fewest multiplicities to
@@ -275,16 +278,14 @@ class BetaExtractor:
     serves.
     """
 
-    __slots__ = ("f", "basis", "free", "det", "_target", "_steps", "_basis_c")
+    __slots__ = ("f", "basis", "free", "det", "_target", "_steps", "_basis_c",
+                 "_reaches")
 
     def __init__(self, f: QuarticForm):
         self.f = f
         monos = sorted(f.terms.items(), key=lambda t: (max(t[0]), t[0]))
-        chosen = _independent_four(monos)
-        if chosen is None:
-            self.basis, self.free, self.det = None, monos, 0
-            return
-        self.basis = [monos[k] for k in chosen]
+        chosen, units = _independent_four(monos)
+        self.basis = [monos[k] for k in chosen] + [(u, 0) for u in units]
         self.free = [t for k, t in enumerate(monos) if k not in chosen]
         # B has the basis exponent vectors as columns; the signs are
         # arranged so that det > 0
@@ -296,6 +297,8 @@ class BetaExtractor:
         # det * x = adj r is tracked along the walk: adj (1, 1, 1, 1) per
         # unit of N, less adj e for each free monomial placed
         self._target = tuple(sum(row) for row in adj)
+        # (1, 1, 1, 1) is in the span iff adj (1, 1, 1, 1) is 0 at each unit
+        self._reaches = not any(self._target[len(chosen):])
         self._steps = [(e, c, tuple(sum(a * k for a, k in zip(row, e))
                                     for row in adj))
                        for e, c in self.free]
@@ -303,25 +306,22 @@ class BetaExtractor:
     def costs(self, m: int):
         """(enumeration, corridor) work for beta_m, counted from f and m
         before any is done. The enumeration visits at most
-        prod_free (N // max(e) + 1) lattice points (None when the exponent
-        vectors have rank < 4); the corridor (power_diagonal) makes at most
-        r (N + 1)^4 state extensions for the r monomials of f: N steps of
-        at most (N + 1)^3 states, each a vector with entries in [0, N] and
-        a fixed sum."""
+        prod_free (N // max(e) + 1) lattice points, and 1 when (1, 1, 1, 1)
+        is out of the exponents' span; the corridor (power_diagonal) makes
+        at most r (N + 1)^4 state extensions for the r monomials of f: N
+        steps of at most (N + 1)^3 states, each a vector with entries in
+        [0, N] and a fixed sum."""
         n = m - 1
-        corridor = len(self.f.terms) * (n + 1) ** 4
-        if self.basis is None:
-            return None, corridor
         points = 1
-        for e, _ in self.free:
+        for e, _ in self.free if self._reaches else ():
             points *= n // max(e) + 1
-        return points, corridor
+        return points, len(self.f.terms) * (n + 1) ** 4
 
     def route(self, m: int) -> str:
         """"enumerate" or "corridor": the route whose counted cost is
         lower (ties enumerate)."""
         points, corridor = self.costs(m)
-        return "corridor" if points is None or points > corridor else "enumerate"
+        return "corridor" if points > corridor else "enumerate"
 
     def beta(self, m: int) -> int:
         if m < 1:
@@ -332,6 +332,8 @@ class BetaExtractor:
 
     def _enumerate(self, n: int) -> int:
         """The coefficient of (T0 T1 T2 T3)^n in f^n, by the enumeration."""
+        if n and not self._reaches:
+            return 0
         det, steps, basis_c = self.det, self._steps, self._basis_c
         u0, u1, u2, u3 = self._target
 
@@ -381,22 +383,17 @@ class BrauerLog:
     """The logarithm sum beta_m T^m / m of a quartic's formal group, together
     with the integer betas it was built from. beta_1 = 1 always."""
 
-    __slots__ = ("log", "source", "betas")
+    __slots__ = ("log", "betas")
 
-    def __init__(self, log: Logarithm, source: QuarticForm, betas: dict):
+    def __init__(self, log: Logarithm, betas: dict):
         if betas.get(1) != 1:
             raise ValueError("beta_1 must be 1")
         self.log = log
-        self.source = source
         self.betas = dict(betas)
 
-    @property
-    def cap(self) -> int:
-        return self.log.cap
-
     def beta(self, m: int) -> int:
-        if m > self.cap:
-            raise CapTooSmall(f"beta_{m} beyond cap {self.cap}")
+        if m > self.log.cap:
+            raise CapTooSmall(f"beta_{m} beyond cap {self.log.cap}")
         return self.betas.get(m, 0)
 
 
@@ -415,7 +412,7 @@ def stienstra_log(f: QuarticForm, cap: int) -> BrauerLog:
         betas = zip(ms, map(ex.beta, ms))
     betas = {m: b for m, b in betas if b}
     coeffs = {(m,): rat(b, m) for m, b in betas.items()}
-    return BrauerLog(Logarithm(Series(QQ, ("T",), cap, coeffs)), f, betas)
+    return BrauerLog(Logarithm(Series(QQ, ("T",), cap, coeffs)), betas)
 
 
 # ---------------------------------------------------------------------------

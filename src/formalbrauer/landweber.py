@@ -613,9 +613,10 @@ def certify_k3_spectrum(R: RingPresentation, f: QuarticForm, h_max: int
 
 
 SMOOTHNESS_PRIMES = (3, 5, 7, 11, 13)
+RATIONAL_LAW_CAP = 8
 
 
-def rational_certificate(f: QuarticForm, cap: int = 8) -> K3SpectrumCertificate:
+def rational_certificate(f: QuarticForm) -> K3SpectrumCertificate:
     """Certificate over the rationals: the law is additive (characteristic
     zero), and every even line has rank 1 because the canonical bundle of a
     smooth quartic surface is trivial.
@@ -631,7 +632,7 @@ def rational_certificate(f: QuarticForm, cap: int = 8) -> K3SpectrumCertificate:
         raise SmoothnessCheckFailed(
             f"{f.name}: no prime in {SMOOTHNESS_PRIMES} has a smooth "
             f"reduction; refusing the rational certificate")
-    law = standard_law("additive", QQ, cap)
+    law = standard_law("additive", QQ, RATIONAL_LAW_CAP)
     iso = {
         "type": "coordinate-identification",
         "normalization": "Serre duality",

@@ -6,6 +6,7 @@ power_diagonal, which expands every f^j, is the oracle: the two must agree
 coefficient by coefficient.
 """
 
+import time
 from itertools import permutations, product
 from math import comb, prod
 
@@ -34,13 +35,12 @@ COEFFS = st.integers(-6, 6).filter(bool)
 
 
 def _agrees_with_corridor(f, m_max):
-    """beta_coefficients and, where the exponent vectors have rank 4, the
-    enumeration itself equal power_diagonal for every m <= m_max."""
+    """beta_coefficients and the enumeration itself equal power_diagonal
+    for every m <= m_max."""
     corridor = power_diagonal(f, m_max - 1)
     assert list(beta_coefficients(f, range(1, m_max + 1))) == corridor
     ex = BetaExtractor(f)
-    if ex.basis is not None:
-        assert [ex._enumerate(n) for n in range(m_max)] == corridor
+    assert [ex._enumerate(n) for n in range(m_max)] == corridor
 
 
 def _sign(perm):
@@ -63,6 +63,9 @@ def test_adjugate_times_matrix_is_det_times_identity(entries):
 # rank 3, with betas: (2,2,0,0) + (0,0,2,2) = (2,0,2,0) + (0,2,0,2)
 RANK_THREE = {(2, 2, 0, 0): 1, (0, 0, 2, 2): -2, (2, 0, 2, 0): 3,
               (0, 2, 0, 2): 1}
+# rank 3, and (1, 1, 1, 1) is not in the exponents' span, so every beta_m
+# with m > 1 is 0
+RANK_THREE_OUT_OF_REACH = {(2, 0, 0, 2): 3, (1, 0, 2, 1): 3, (0, 3, 0, 1): 2}
 # rank 4, but only T0^3 T3 carries T3: the target is out of reach past m = 1
 OUT_OF_REACH = {(4, 0, 0, 0): 1, (0, 4, 0, 0): 2, (0, 0, 4, 0): -1,
                 (3, 0, 0, 1): 5}
@@ -96,24 +99,57 @@ def test_extractor_matches_corridor_on_random_quartics(f, m_max):
 def test_point_count_is_one_plus_beta_p_mod_p(f, p):
     """#X(F_p) = 1 + beta_p (mod p) for X = {f = 0} in P^3: summed over
     F_p^4, f^(p-1) keeps only beta_p (Chevalley-Warning). An oracle for the
-    corridor and, where the exponent vectors have rank 4, the enumeration
-    that rests on the surface's points rather than on f^(p-1)."""
+    corridor and the enumeration that rests on the surface's points rather
+    than on f^(p-1)."""
     assume(any(c % p for c in f.terms.values()))
     count = point_count(f, p)
-    betas = [power_diagonal(f, p - 1)[p - 1]]
-    ex = BetaExtractor(f)
-    if ex.basis is not None:
-        betas.append(ex._enumerate(p - 1))
+    betas = [power_diagonal(f, p - 1)[p - 1],
+             BetaExtractor(f)._enumerate(p - 1)]
     for beta in betas:
         assert (count - 1 - beta) % p == 0
 
 
 def test_rank_deficient_and_unreachable_cases():
-    assert BetaExtractor(QuarticForm(RANK_THREE)).basis is None
-    assert power_diagonal(QuarticForm(RANK_THREE), 2)[2] != 0
+    # RANK_THREE's basis is completed by one unit vector, with coefficient 0
+    rank_three = QuarticForm(RANK_THREE)
+    ex = BetaExtractor(rank_three)
+    assert [c for _, c in ex.basis].count(0) == 1
+    corridor = power_diagonal(rank_three, 12)
+    assert corridor[2] != 0
+    assert [ex._enumerate(n) for n in range(13)] == corridor
     out = QuarticForm(OUT_OF_REACH)
-    assert BetaExtractor(out).basis is not None
+    assert 0 not in [c for _, c in BetaExtractor(out).basis]
     assert list(beta_coefficients(out, range(1, 14))) == [1] + [0] * 12
+
+
+# hyperplanes of exponent space, with and without (1, 1, 1, 1): any
+# quartic drawn from one has exponent vectors of rank at most 3
+HYPERPLANES = {
+    "e0 + e1 = e2 + e3": lambda e: e[0] + e[1] == e[2] + e[3],
+    "e0 = e1": lambda e: e[0] == e[1],
+    "e0 = e1 + e2": lambda e: e[0] == e[1] + e[2],
+    "e3 = 0": lambda e: e[3] == 0,
+}
+
+
+@st.composite
+def rank_deficient_quartics(draw):
+    """1 to 6 monomials of one hyperplane of HYPERPLANES, so that the
+    diagonal (N, N, N, N) is reachable only when the hyperplane holds
+    (1, 1, 1, 1)."""
+    plane = HYPERPLANES[draw(st.sampled_from(sorted(HYPERPLANES)))]
+    pool = [e for e in MONOMIALS if plane(e)]
+    es = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6,
+                       unique=True))
+    return QuarticForm({e: draw(COEFFS) for e in es}, name="rank-deficient")
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_deficient_quartics())
+@example(QuarticForm(RANK_THREE_OUT_OF_REACH))
+def test_completed_basis_matches_corridor_below_rank_four(f):
+    assert 0 in [c for _, c in BetaExtractor(f).basis]
+    _agrees_with_corridor(f, 10)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_QUARTICS))
@@ -156,8 +192,9 @@ def test_route_is_counted_from_the_quartic_and_the_degree():
         assert BetaExtractor(CROSS).route(m) == "enumerate"
     points, corridor = BetaExtractor(CROSS).costs(121)
     assert points == 121 // 4 + 1 and corridor == 5 * 121 ** 4
+    # RANK_THREE's one free monomial, T0^2 T1^2, is taken 0 to 4 times
     assert BetaExtractor(QuarticForm(RANK_THREE)).costs(9) == \
-        (None, 4 * 9 ** 4)
+        (8 // 2 + 1, 4 * 9 ** 4)
     # the dense quartic's corridor fallback still gives the enumeration's
     # value, which is affordable at this degree
     assert BetaExtractor(dense)._enumerate(4) == power_diagonal(dense, 4)[4]
@@ -187,6 +224,18 @@ def test_fermat_cross_at_11_is_height_two():
     res = brauer_height(CROSS, 11, 2)
     assert (res.kind, res.value, res.first_nonzero_degree) == \
         ("finite", 2, 121)
+
+
+def test_rank_three_out_of_reach_at_7_walks_no_corridor():
+    # every beta_(7^n) is 0, read off one lattice point each: the corridor
+    # to degree 343 would expand f^j for every j < 343 (about 4 s)
+    f = QuarticForm(RANK_THREE_OUT_OF_REACH)
+    assert BetaExtractor(f).route(343) == "enumerate"
+    start = time.perf_counter()
+    res = brauer_height(f, 7, 3)
+    assert time.perf_counter() - start < 0.5
+    assert res == brauer_generators(f, 7, 3)[0]
+    assert (res.kind, res.value) == ("at_least", 3)
 
 
 def test_fermat_cross_at_47_is_height_two():

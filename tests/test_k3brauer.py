@@ -237,14 +237,18 @@ def test_fermat_log_closed_form_equals_general():
                        if corridor[m - 1]}
 
 
-# exponent vectors of rank 2, so the extractor has no basis and its route
-# is always the corridor
+# exponent vectors of rank 2: two unit vectors complete the basis and one
+# free monomial is walked
 RANK_TWO = QuarticForm({(1, 1, 1, 1): 1, (2, 2, 0, 0): 1, (0, 0, 2, 2): 3})
+# every quartic monomial: 31 free monomials, so the corridor is cheaper
+DENSE = QuarticForm({e: 1 for e in itertools.product(range(5), repeat=4)
+                     if sum(e) == 4}, name="dense")
 
 
 @pytest.mark.parametrize("f, route, passes", [(CROSS, "enumerate", 0),
-                                              (RANK_TWO, "corridor", 1)],
-                         ids=["fermat-cross", "rank-two"])
+                                              (RANK_TWO, "enumerate", 0),
+                                              (DENSE, "corridor", 1)],
+                         ids=["fermat-cross", "rank-two", "dense"])
 def test_nondiagonal_log_follows_the_extractor_route(monkeypatch, f, route,
                                                      passes):
     # stienstra_log takes single betas, or one corridor pass for every

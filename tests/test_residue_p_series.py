@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from formalbrauer import fgl, k3brauer
 from formalbrauer.coefficients import Prime
@@ -213,6 +213,10 @@ def height_cells(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(height_cells())
+# rank 3 with (1, 1, 1, 1) out of the exponents' span: every beta past
+# beta_1 is 0, read without the corridor pass to degree 343
+@example((QuarticForm({(2, 0, 0, 2): 3, (1, 0, 2, 1): 3, (0, 3, 0, 1): 2}),
+          7, 3))
 def test_valuation_route_matches_the_v_n_recursion(cell):
     # brauer_height reads the verdict off v_p(beta_(p^n)); brauer_generators
     # runs Hazewinkel's rational recursion for the v_n themselves, and the
