@@ -2,10 +2,10 @@
 
 Each check is a pure function returning (ok, detail). The registry order is
 stable; `run_checks` executes a selection and times each one. Every check
-reads its answers through the production routes (the valuations of the
-integer betas for quartic heights, closed_fibre_height for elliptic ones,
-landweber_check for reports); the slower p-series route is a test oracle
-and is not used here.
+reads its answers through the production routes (brauer_generators'
+integer v_n recursion for quartic heights, closed_fibre_height for
+elliptic ones, landweber_check for reports); the slower p-series route is a
+test oracle and is not used here.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .fgl import (
 )
 from .k3brauer import (
     BUILTIN_QUARTICS,
-    _height_with_beta_p,
     beta_coefficients,
+    brauer_generators,
     brauer_height,
     named_quartic,
     power_diagonal,
@@ -281,8 +281,9 @@ def point_count(f, p: int) -> int:
 
 
 def check_point_count():
-    """On every census cell, beta_p mod p from _height_with_beta_p, the
-    value the height rows print, satisfies #X(F_p) = 1 + beta_p (mod p).
+    """On every census cell, beta_p mod p, read as v_1 mod p from
+    brauer_generators as the height rows print it, satisfies
+    #X(F_p) = 1 + beta_p (mod p).
     Summed over F_p^4, f^(p-1) keeps only its coefficient of
     (T0 T1 T2 T3)^(p-1), which is beta_p (Chevalley-Warning), so the
     congruence ties the printed beta_p, and with it the height-1 verdict
@@ -292,7 +293,8 @@ def check_point_count():
     for qname, primes, h_max in CENSUS:
         f = named_quartic(qname)
         for p in primes:
-            h, beta_p = _height_with_beta_p(f, p, h_max)
+            h, vs = brauer_generators(f, p, h_max)
+            beta_p = vs[0] % p      # v_1 = beta_p
             points = point_count(f, p)
             good = (points - 1 - beta_p) % p == 0
             ok = ok and good

@@ -64,7 +64,7 @@ from .errors import CapTooSmall, CertificationRefused, NonIntegral
 from .k3brauer import (
     BUILTIN_QUARTICS,
     QuarticForm,
-    _height_with_beta_p,
+    brauer_generators,
     named_quartic,
 )
 from .landweber import (
@@ -340,7 +340,8 @@ def _height_cell(args):
     """One (quartic, prime) grid cell; top level so worker pools can run it."""
     f, p, h_max = args
     start = perf_counter()
-    result, beta_p = _height_with_beta_p(f, p, h_max)
+    result, vs = brauer_generators(f, p, h_max)
+    beta_p = vs[0] % p      # v_1 = beta_p
     wall_ms = int((perf_counter() - start) * 1000)
     return {
         "quartic": f.name,

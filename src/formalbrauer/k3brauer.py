@@ -17,18 +17,16 @@ alike: stienstra_log makes one corridor pass when the route at its cap is
 the corridor, and extracts each beta on its own otherwise.
 
 Everything downstream reads the betas extracted here. A height is the
-least n whose Hazewinkel generator v_n is a unit mod p; while v_1, ...,
-v_(n-1) vanish mod p, v_n = beta_(p^n) / p^(n-1) mod p, so brauer_height
-reads the height as the least n with v_p(beta_(p^n)) = n - 1, off the
-p-adic valuations of the integer betas alone (_height_with_beta_p gives
-the argument). It builds no Fraction, runs no v_n recursion and builds
+least n whose Hazewinkel generator v_n is a unit mod p. brauer_generators
+runs Hazewinkel's recursion on the integer betas beta_(p^n), scaled by
+p^(n-1) so that every term is an integer, and stops at the first v_n prime
+to p; brauer_height, the CLI's height rows and exactness certificates
+(landweber.certify_k3_spectrum) all read it. It builds no Fraction and
 neither a p-series nor the bivariate law. A bound that decides nothing is
-reported as a lower bound, never as infinity. brauer_generators runs
-fgl.hazewinkel_generators' rational recursion on the same betas for the
-v_n themselves: exactness certificates (landweber.certify_k3_spectrum)
-need them, and the tests hold brauer_height to its verdict. Certificates
-extract the logarithm through a small cap only for the law they embed. The
-p-series over QQ, reduced mod p, stays as the criterion's test oracle.
+reported as a lower bound, never as infinity. Certificates extract the
+logarithm through a small cap only for the law they embed. fgl's rational
+recursion on beta_(p^n) / p^n and the p-series over QQ, reduced mod p, stay
+as test oracles.
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ from operator import index
 
 from .coefficients import QQ, Prime, TruncPoly, TruncPolyRing, multinomial, rat
 from .errors import CapTooSmall, NonIntegral
-from .fgl import (HeightResult, Logarithm, closed_fibre_height,
-                  ideal_contains_all)
+from .fgl import HeightResult, Logarithm, ideal_contains_all
 from .series import Series
 
 QUARTIC_VARS = ("T0", "T1", "T2", "T3")
@@ -420,81 +417,50 @@ def stienstra_log(f: QuarticForm, cap: int) -> BrauerLog:
 # ---------------------------------------------------------------------------
 
 
-def _height_prime(f: QuarticForm, p, h_max: int) -> Prime:
-    """The Prime of a height question on f, after the refusals both height
-    routes make, in one order: a p that is not an odd prime, h_max < 1, and
-    a p dividing every coefficient, where f has no reduction mod p."""
-    p = p if isinstance(p, Prime) else Prime(int(p))
+def brauer_generators(f: QuarticForm, p, h_max: int):
+    """(height, [v_1, ..., v_n]) of the formal Brauer group of f at p:
+    Finite(n), witnessed in degree p^n, when v_n is the first of Hazewinkel's
+    generators prime to p; otherwise AtLeast(h_max), with v_1, ..., v_(h_max).
+
+    Hazewinkel's v_n = p l_n - sum_(0<i<n) l_i v_(n-i)^(p^i), with
+    l_n = beta_(p^n) / p^n (fgl.hazewinkel_generators), is run times
+    p^(n-1): beta_(p^n) - sum_(0<i<n) beta_(p^i) p^(n-1-i) v_(n-i)^(p^i),
+    an integer, which p^(n-1) divides exactly when v_n is p-integral, and
+    then v_n is an integer. A v_n that is not raises NonIntegral with its
+    value, the only Fraction built. The betas come from one
+    beta_coefficients call, none past the deciding n. Refused: a p that is
+    not an odd prime, h_max < 1, and a p dividing every coefficient."""
+    q = (p if isinstance(p, Prime) else Prime(int(p))).p
     if h_max < 1:
         raise ValueError("h_max must be >= 1")
-    if all(c % p.p == 0 for c in f.terms.values()):
+    if all(c % q == 0 for c in f.terms.values()):
         raise ValueError(
-            f"{p.p} divides every coefficient of {f.name}; no reduction mod {p.p}")
-    return p
-
-
-def _height_with_beta_p(f: QuarticForm, p, h_max: int):
-    """(brauer_height(f, p, h_max), beta_p mod p), read off the p-adic
-    valuations of the integer betas beta_(p^n), n = 1, ..., h_max: the
-    height is the least n with v_p(beta_(p^n)) = n - 1, witnessed in degree
-    p^n, and AtLeast(h_max) if there is none.
-
-    Hazewinkel's generators satisfy v_n = p l_n - sum_(0<i<n) l_i
-    v_(n-i)^(p^i) with l_n = beta_(p^n) / p^n, and the least n whose v_n is
-    a unit mod p is the height (Hazewinkel, Formal Groups and Applications,
-    15 and 21; fgl.hazewinkel_generators). While v_1, ..., v_(n-1) are
-    p-integral and 0 mod p, every correction term l_i v_(n-i)^(p^i) has
-    valuation at least p^i >= 3: by induction each v_i with i < n is
-    beta_(p^i) / p^(i-1) plus such terms, so v_p(beta_(p^i)) >= i and l_i
-    is p-integral, and v_(n-i)^(p^i) has valuation at least p^i. So
-    v_n = beta_(p^n) / p^(n-1) mod p^3, and v_n is a unit exactly when
-    v_p(beta_(p^n)) = n - 1.
-
-    The law is p-integral by Stienstra (Amer. J. Math. 109, 1987), which is
-    not rechecked here; v_p(beta_(p^n)) < n - 1 would make v_n non-integral,
-    contradicts it and raises NonIntegral, whose value beta_(p^n) / p^(n-1)
-    is the part of v_n that is not p-integral. That is the only Fraction
-    built. The betas come from one beta_coefficients call, so the
-    extractor's setup is shared and no beta past the deciding n is
-    computed. beta_p mod p, the first beta read, is the height-1 verdict the
-    CLI's height rows print.
-    """
-    p = _height_prime(f, p, h_max)
-    q = p.p
-    qs = [q ** n for n in range(1, h_max + 1)]
-    beta_p = None
-    for n, (m, b) in enumerate(zip(qs, beta_coefficients(f, qs)), start=1):
-        if beta_p is None:
-            beta_p = b % q
-        unit, rest = divmod(b, m // q)      # m // q = p^(n-1)
+            f"{q} divides every coefficient of {f.name}; no reduction mod {q}")
+    pw = [q ** k for k in range(h_max + 1)]
+    betas, vs = [], []
+    for n, b in enumerate(beta_coefficients(f, pw[1:]), start=1):
+        betas.append(b)
+        rhs = b
+        for i in range(1, n):
+            if betas[i - 1] and vs[n - i - 1]:
+                rhs -= betas[i - 1] * pw[n - 1 - i] * vs[n - i - 1] ** pw[i]
+        v, rest = divmod(rhs, pw[n - 1])
         if rest:
             raise NonIntegral(
                 f"v_{n}, read from the logarithm's coefficient at "
-                f"T^{m}, is not {q}-integral", degree=m,
-                value=rat(b, m // q))
-        if unit % q:
-            return HeightResult("finite", n, first_nonzero_degree=m), beta_p
-    return HeightResult("at_least", h_max), beta_p
+                f"T^{pw[n]}, is not {q}-integral", degree=pw[n],
+                value=rat(rhs, pw[n - 1]))
+        vs.append(v)
+        if v % q:
+            return HeightResult("finite", n, first_nonzero_degree=pw[n]), vs
+    return HeightResult("at_least", h_max), vs
 
 
 def brauer_height(f: QuarticForm, p, h_max: int) -> HeightResult:
     """Height of the formal Brauer group of f in characteristic p: the least
-    n <= h_max with v_p(beta_(p^n)) = n - 1, at which Hazewinkel's v_n is a
-    unit mod p (see _height_with_beta_p); AtLeast(h_max) if there is none.
-    """
-    return _height_with_beta_p(f, p, h_max)[0]
-
-
-def brauer_generators(f: QuarticForm, p, h_max: int):
-    """(brauer_height(f, p, h_max), [v_1, ..., v_n]) by closed_fibre_height,
-    the rational recursion fgl.hazewinkel_generators runs on the
-    l_n = beta_(p^n) / p^n from one beta_coefficients call. Exactness
-    reports read these v_n; the tests hold brauer_height, which reads the
-    same verdict off the betas' valuations, to it."""
-    p = _height_prime(f, p, h_max)
-    qs = [p.p ** n for n in range(1, h_max + 1)]
-    ells = (rat(b, q) for q, b in zip(qs, beta_coefficients(f, qs)))
-    return closed_fibre_height(ells, p, h_max)
+    n <= h_max at which Hazewinkel's v_n is a unit mod p (brauer_generators);
+    AtLeast(h_max) if there is none."""
+    return brauer_generators(f, p, h_max)[0]
 
 
 # ---------------------------------------------------------------------------

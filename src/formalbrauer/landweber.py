@@ -572,8 +572,9 @@ def certify_k3_spectrum(R: RingPresentation, f: QuarticForm, h_max: int
     """Certificate for the formal Brauer group of f over the p-local
     presentation R, refusing unless the exactness report comes back Exact.
 
-    The report reads its v_n, as landweber_check does, from the logarithm's
-    coefficients beta_(p^n) / p^n, each a single beta (brauer_generators).
+    The report reads its v_n from brauer_generators, Hazewinkel's recursion
+    on the single betas beta_(p^n), the v_n landweber_check reads off the
+    logarithm's coefficients beta_(p^n) / p^n.
     Only an Exact report goes on to the embedded law, rebuilt from the
     logarithm l at min(LAW_CAP, p^h_max + 1) with p-integrality enforced,
     and checked against l: l(F(X,Y)) = l(X) + l(Y) through that cap

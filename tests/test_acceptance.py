@@ -22,13 +22,13 @@ def test_acceptance(name):
 
 
 def test_point_count_fails_on_a_wrong_beta_p(monkeypatch):
-    real = acceptance._height_with_beta_p
+    real = acceptance.brauer_generators
 
     def beta_p_off_by_one(f, p, h_max):
-        h, beta_p = real(f, p, h_max)
-        return h, beta_p + 1
+        h, vs = real(f, p, h_max)
+        return h, [vs[0] + 1, *vs[1:]]
 
-    monkeypatch.setattr(acceptance, "_height_with_beta_p", beta_p_off_by_one)
+    monkeypatch.setattr(acceptance, "brauer_generators", beta_p_off_by_one)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(["selftest", "--only", "point-count"])

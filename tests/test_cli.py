@@ -118,7 +118,7 @@ HEIGHT_GRID = json.loads(HEIGHT_GRID_PATH.read_text())
 @pytest.mark.parametrize("label", sorted(HEIGHT_GRID))
 def test_height_grid_matches_frozen_output(label, capsys):
     # `height --format json --no-timestamp` on the census grid, frozen from
-    # the window route over [p] mod p; the v_p(beta_(p^n)) criterion must
+    # the window route over [p] mod p; the integer v_n recursion must
     # print the same bytes, witness degrees and beta_p column included
     cell = HEIGHT_GRID[label]
     assert run(cell["argv"]) == 0
@@ -185,10 +185,11 @@ def test_height_cell_builds_one_extractor(monkeypatch, capsys):
     assert sorted(built) == ["fermat"] * 3 + ["fermat-cross"] * 3
 
 
-def test_height_cells_build_no_fraction_and_run_no_v_n_recursion(
+def test_height_cells_build_no_fraction_and_run_no_rational_recursion(
         monkeypatch, capsys):
-    # a height row reads the betas' valuations: the rational v_n recursion,
-    # and any Fraction at all, would be work the answer never uses
+    # a height row runs the v_n recursion on the integer betas: fgl's
+    # rational recursion, and any Fraction at all, would be work the answer
+    # never uses
     want = {}
     for qname, primes, h_max in acceptance.CENSUS:
         for p in primes:
@@ -201,7 +202,6 @@ def test_height_cells_build_no_fraction_and_run_no_v_n_recursion(
         raise AssertionError("rational route taken by a height cell")
 
     monkeypatch.setattr(fgl, "hazewinkel_generators", boom)
-    monkeypatch.setattr(k3brauer, "closed_fibre_height", boom)
     monkeypatch.setattr(fractions.Fraction, "__new__", boom)
     got = {}
     for qname, primes, h_max in acceptance.CENSUS:
@@ -361,7 +361,7 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,work", [
     (["height", "--quartic", "fermat", "--primes", "5"],
-     ["_height_with_beta_p"]),
+     ["brauer_generators"]),
     (["landweber", "--scenario", "torsion"],
      ["builtin_scenario", "landweber_check"]),
     (["landweber", "--ring", "zp", "--law", "additive"],
@@ -409,7 +409,7 @@ def test_argparse_usage_problems_exit_one(capsys):
 def test_nonintegral_abort_exits_two(monkeypatch, capsys):
     def boom(*a, **k):
         raise NonIntegral("synthetic abort", degree=9, value=None)
-    monkeypatch.setattr(cli, "_height_with_beta_p", boom)
+    monkeypatch.setattr(cli, "brauer_generators", boom)
     code = run(["height", "--quartic", "fermat", "--primes", "5"])
     assert code == 2
     assert "integrality abort" in capsys.readouterr().err

@@ -1,7 +1,8 @@
 """The p-series route, kept as an oracle, against the routes that replaced it.
 
-Heights read v_p(beta_(p^n)), and exactness reports read Hazewinkel's v_n
-off the logarithm's p-power coefficients. The oracle builds [p](T) at
+Heights and certificates run Hazewinkel's v_n recursion on the integer
+betas, and exactness reports read the v_n off the logarithm's p-power
+coefficients. The oracle builds [p](T) at
 p^1 + 1, p^2 + 1, ..., cap and stops at the first window whose reduction mod
 p is nonzero (p_series_oracle.escalating_height). A series at cap N is exact
 through degree N, so the oracle's verdicts must equal the ones read off the

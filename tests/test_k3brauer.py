@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from formalbrauer import k3brauer
 from formalbrauer.coefficients import is_prime
@@ -15,6 +15,7 @@ from formalbrauer.k3brauer import (
     BUILTIN_QUARTICS,
     BetaExtractor,
     QuarticForm,
+    _adjugate4,
     beta_coefficient,
     brauer_generators,
     brauer_height,
@@ -296,8 +297,8 @@ def test_fermat_dichotomy_small_primes():
 def test_brauer_height_rejects_all_divisible():
     f = QuarticForm({(4, 0, 0, 0): 3, (0, 4, 0, 0): 6, (0, 0, 4, 0): 3,
                      (0, 0, 0, 4): 3})
-    # the valuation route and the v_n recursion make the same refusals, in
-    # one order: the prime, then h_max, then the reduction mod p
+    # the height and the v_n make the same refusals, in one order: the
+    # prime, then h_max, then the reduction mod p
     for p, h_max, message in ((9, 0, "9 is not prime"),
                               (2, 1, "need an odd prime"),
                               (3, 0, "h_max must be >= 1"),
@@ -332,6 +333,70 @@ def test_ordinarity_matches_height_random_diagonals():
             assert (int(brauer_generators(f, p, 1)[1][0]) % p != 0) == (
                 res.is_finite and res.value == 1)
             tested += 1
+
+
+def compose_linear(f, A):
+    """f(A T): the quartic f with T_i replaced by sum_j A[i][j] T_j."""
+    rows = [{tuple(int(k == j) for k in range(4)): a
+             for j, a in enumerate(row) if a} for row in A]
+    out = {}
+    for e, c in f.terms.items():
+        prod = {(0, 0, 0, 0): c}
+        for i, k in enumerate(e):
+            for _ in range(k):
+                nxt = {}
+                for x, cx in prod.items():
+                    for y, cy in rows[i].items():
+                        z = tuple(a + b for a, b in zip(x, y))
+                        nxt[z] = nxt.get(z, 0) + cx * cy
+                prod = nxt
+        for z, cz in prod.items():
+            out[z] = out.get(z, 0) + cz
+    return QuarticForm(out, name="composed")
+
+
+# the quartic monomials other than the four pure fourth powers
+MIXED = [e for e in itertools.product(range(4), repeat=4) if sum(e) == 4]
+
+
+@st.composite
+def surfaces_in_two_coordinates(draw):
+    """(f, A, p): f is Fermat plus one or two monomials with coefficients
+    1-4, A a 4x4 matrix with entries in {-1, 0, 1, 2} and det A prime to
+    p, p in {3, 5, 7}."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    terms = dict(FERMAT.terms)
+    for e in draw(st.lists(st.sampled_from(MIXED), min_size=1, max_size=2)):
+        terms[e] = terms.get(e, 0) + draw(st.integers(1, 4))
+    A = draw(st.lists(st.lists(st.sampled_from([-1, 0, 1, 2]),
+                               min_size=4, max_size=4),
+                      min_size=4, max_size=4))
+    assume(_adjugate4(A)[1] % p)
+    return QuarticForm(terms), A, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(surfaces_in_two_coordinates())
+def test_height_does_not_depend_on_coordinates(case):
+    # the height belongs to the reduction of the surface (Artin and Mazur,
+    # Ann. Sci. ENS 1977), and beta_p mod p, the Hasse invariant, changes by
+    # det(A)^(p-1) = 1 mod p; f(A T) is dense where f is sparse, so its
+    # betas come through another route over other lattice points
+    f, A, p = case
+    assume(smooth_check_fp(f, p))
+    g = compose_linear(f, A)
+    h_max = 2 if p == 3 else 1
+    (hf, vf), (hg, vg) = (brauer_generators(x, p, h_max) for x in (f, g))
+    assert hf == hg
+    assert vf[0] % p == vg[0] % p
+
+
+def test_compose_linear_substitutes_each_variable():
+    # T0 -> T0 + T1 takes T0^4 to the binomial expansion of (T0 + T1)^4
+    A = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    g = compose_linear(QuarticForm({(4, 0, 0, 0): 1}), A)
+    assert g.terms == {(4 - k, k, 0, 0): c
+                       for k, c in enumerate((1, 4, 6, 4, 1))}
 
 
 # ---------------------------------------------------------------------------

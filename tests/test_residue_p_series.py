@@ -1,11 +1,13 @@
-"""Heights from the residues of the integer betas, against the p-series
-over QQ.
+"""Heights from Hazewinkel's recursion on the integer betas, against the
+p-series over QQ and against fgl's rational recursion.
 
-brauer_height reads the height as the least n with v_p(beta_(p^n)) = n - 1,
-that is, from beta_(p^n) mod p^n. The oracle is the route it replaced: the
-p-series of the rational logarithm sum beta_m T^m / m, built over QQ through
-the whole window, reduced mod p and scanned (p_series_oracle.height). The
-two must give the same verdict, witness degree included.
+brauer_generators runs the recursion for v_n, scaled by p^(n-1), on the
+integer betas beta_(p^n). One oracle is the route it replaced for heights:
+the p-series of the rational logarithm sum beta_m T^m / m, built over QQ
+through the whole window, reduced mod p and scanned
+(p_series_oracle.height). The other is fgl.closed_fibre_height on the
+rationals beta_(p^n) / p^n. Each must give the same verdict, witness degree
+included, and the second the same v_n.
 """
 
 from fractions import Fraction
@@ -15,11 +17,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from formalbrauer import fgl, k3brauer
-from formalbrauer.coefficients import Prime
+from formalbrauer.coefficients import Prime, rat
 from formalbrauer.errors import NonIntegral
 from formalbrauer.fgl import HeightResult, fgl_from_log, p_series
 from formalbrauer.k3brauer import (
     QuarticForm,
+    beta_coefficient,
     brauer_generators,
     brauer_height,
     named_quartic,
@@ -102,7 +105,7 @@ def test_cap_above_p_to_the_h_max_reads_further_degrees():
 
 
 # ---------------------------------------------------------------------------
-# brauer_height on the v_p(beta_(p^n)) criterion
+# brauer_generators: the integer v_n recursion
 # ---------------------------------------------------------------------------
 
 
@@ -147,8 +150,9 @@ def test_brauer_height_extracts_the_log_through_the_deciding_window(
 
 
 def test_beta_below_the_criterion_valuation_raises(monkeypatch):
-    # v_3(beta_27) = 1 < 3 - 1 would make v_3 non-integral: the law is not
-    # 3-integral, and the criterion does not guess a verdict
+    # v_3(beta_27) = 1 < 3 - 1 makes v_3 = beta_27 / 9 non-integral (at
+    # fermat, beta_3 = v_1 = 0): the law is not 3-integral, and the
+    # recursion does not guess a verdict
     single = k3brauer.beta_coefficients
     monkeypatch.setattr(
         k3brauer, "beta_coefficients",
@@ -179,10 +183,21 @@ def test_stienstra_law_is_integral_on_random_quartics(case):
     law.verify_axioms()
 
 
-@pytest.mark.parametrize("name, p, n", [("fermat", 7, 2),
-                                        ("fermat-cross", 3, 2),
-                                        ("fermat", 3, 4)])
-def test_brauer_height_raises_on_a_non_integral_v_n(name, p, n, monkeypatch):
+def _rational_route(f, p, h_max):
+    """fgl.closed_fibre_height on l_n = beta_(p^n) / p^n, the betas read
+    through k3brauer.beta_coefficients as brauer_generators reads them."""
+    qs = [p ** n for n in range(1, h_max + 1)]
+    ells = (rat(b, q) for q, b in zip(qs, k3brauer.beta_coefficients(f, qs)))
+    return fgl.closed_fibre_height(ells, Prime(p), h_max)
+
+
+@pytest.mark.parametrize("name, p, n, value", [
+    ("fermat", 7, 2, Fraction(2, 7)),
+    ("fermat-cross", 3, 2, Fraction(2, 3)),
+    ("fermat", 3, 4, Fraction(-174901228765980917759999999998, 3))],
+    ids=["fermat-7-2", "fermat-cross-3-2", "fermat-3-4"])
+def test_brauer_height_raises_on_a_non_integral_v_n(name, p, n, value,
+                                                   monkeypatch):
     # a beta_(p^n) of valuation n - 2 makes v_n = beta_(p^n) / p^(n-1) - ...
     # non-integral; at (fermat, 3, 4) the correction l_2 v_2^9 is nonzero
     q = p ** n
@@ -191,15 +206,12 @@ def test_brauer_height_raises_on_a_non_integral_v_n(name, p, n, monkeypatch):
         k3brauer, "beta_coefficients",
         lambda f, ms: (p ** (n - 2) * 2 if m == q else b
                        for m, b in zip(ms, single(f, ms))))
-    with pytest.raises(NonIntegral) as err:
-        brauer_height(named_quartic(name), p, n)
-    assert err.value.degree == q
-    # its value is the part of v_n that is not p-integral, 2 p^(n-2) / p^(n-1)
-    assert err.value.value == Fraction(2, p)
-    # the v_n recursion aborts at the same degree
-    with pytest.raises(NonIntegral) as err:
-        brauer_generators(named_quartic(name), p, n)
-    assert err.value.degree == q
+    # the height, the certificates' v_n and fgl's rational recursion abort
+    # at the same degree with the same value, v_n itself
+    for route in (brauer_height, brauer_generators, _rational_route):
+        with pytest.raises(NonIntegral) as err:
+            route(named_quartic(name), p, n)
+        assert (err.value.degree, err.value.value) == (q, value)
 
 
 @st.composite
@@ -217,14 +229,16 @@ def height_cells(draw):
 # beta_1 is 0, read without the corridor pass to degree 343
 @example((QuarticForm({(2, 0, 0, 2): 3, (1, 0, 2, 1): 3, (0, 3, 0, 1): 2}),
           7, 3))
-def test_valuation_route_matches_the_v_n_recursion(cell):
-    # brauer_height reads the verdict off v_p(beta_(p^n)); brauer_generators
-    # runs Hazewinkel's rational recursion for the v_n themselves, and the
-    # beta_p mod p the height rows print is its v_1 mod p
+def test_integer_route_matches_the_rational_recursion(cell):
+    # brauer_generators runs Hazewinkel's recursion on the integer betas;
+    # fgl's recursion on beta_(p^n) / p^n must give the same verdict and
+    # every v_n, and the beta_p mod p the height rows print is v_1 mod p
     f, p, h_max = cell
-    assert brauer_height(f, p, h_max) == brauer_generators(f, p, h_max)[0]
-    beta_p = k3brauer._height_with_beta_p(f, p, h_max)[1]
-    assert beta_p == int(brauer_generators(f, p, 1)[1][0]) % p
+    h, vs = brauer_generators(f, p, h_max)
+    assert all(type(v) is int for v in vs)
+    assert (h, vs) == _rational_route(f, p, h_max)
+    assert brauer_height(f, p, h_max) == h
+    assert vs[0] == beta_coefficient(f, p)
 
 
 @pytest.mark.parametrize("p", [17, 19, 23, 29, 31, 37, 41, 43])
